@@ -32,7 +32,7 @@ def agreement_report(compiled_rmgd):
         method: instant_of_time(
             compiled_rmgd, RS_A1_GOP, SHORT_HORIZON, method=method
         )
-        for method in ("uniformization", "expm", "dense-expm", "auto")
+        for method in ("uniformization", "krylov", "dense-expm", "auto")
     }
     report = format_table(
         ["method", f"P(A1' at t={SHORT_HORIZON:g})"],

@@ -5,12 +5,17 @@ solutions used throughout the reproduction:
 
 * :class:`~repro.ctmc.chain.CTMC` — a continuous-time Markov chain backed
   by a sparse generator matrix.
-* :mod:`~repro.ctmc.uniformization` — Jensen's uniformization with
-  Fox–Glynn truncation of the Poisson weights.
+* :mod:`~repro.ctmc.uniformization` — Fox–Glynn truncation of the
+  Poisson weights and the uniformized DTMC.
+* :mod:`~repro.ctmc.streaming` — the Jensen (uniformization) walk, with
+  preallocated workspaces and a certified truncation-error bound.
 * :mod:`~repro.ctmc.transient` — transient instant-of-time state
-  probabilities and expected instant-of-time rewards.
+  probabilities and expected instant-of-time rewards.  Backends:
+  ``uniformization``, ``spectral``, ``dense-expm`` and ``krylov``.
 * :mod:`~repro.ctmc.accumulated` — expected accumulated reward over an
-  interval ``[0, t]`` (integrated uniformization).
+  interval ``[0, t]``.  Backends: ``uniformization``,
+  ``augmented-expm``, ``augmented-krylov`` and the ``quadrature``
+  reference path.
 * :mod:`~repro.ctmc.steady_state` — steady-state solvers (direct sparse,
   power method on the uniformized DTMC, Gauss–Seidel, SOR).
 * :mod:`~repro.ctmc.absorbing` — absorbing-chain analysis (absorption
@@ -18,6 +23,10 @@ solutions used throughout the reproduction:
 * :mod:`~repro.ctmc.dtmc` — embedded and uniformized DTMC helpers.
 * :mod:`~repro.ctmc.sensitivity` — finite-difference parameter
   sensitivities of reward measures.
+
+Each solve kind has one grid implementation; a scalar call is its
+one-point grid, and one ``auto`` rule picks the backend for all of
+them.
 
 These are the textbook algorithms implemented inside tools such as
 UltraSAN and Möbius; the paper's three SAN reward models are compiled to
@@ -42,12 +51,7 @@ from repro.ctmc.absorbing import (
     absorption_probabilities,
     mean_time_to_absorption,
 )
-from repro.ctmc.uniformization import (
-    accumulated_by_uniformization_grid,
-    fox_glynn_weights,
-    transient_by_uniformization_grid,
-    uniformize,
-)
+from repro.ctmc.uniformization import fox_glynn_weights, uniformize
 from repro.ctmc.dtmc import DTMC, embedded_dtmc, uniformized_dtmc
 from repro.ctmc.first_passage import (
     first_passage_cdf,
@@ -79,11 +83,9 @@ __all__ = [
     "AbsorbingAnalysis",
     "transient_distribution",
     "transient_grid",
-    "transient_by_uniformization_grid",
     "instant_of_time_reward",
     "accumulated_reward",
     "accumulated_grid",
-    "accumulated_by_uniformization_grid",
     "transient_accumulated_grid",
     "averaged_interval_reward",
     "steady_state_distribution",

@@ -5,22 +5,28 @@ paper for the mean-time-to-detection constituent measure
 ``int_0^phi tau h(tau) dtau`` (Table 1, row 2), where states in ``A2'``
 carry rate +1 and absorbing failure states in ``A4'`` carry rate -1.
 
-Backends:
+One implementation: :func:`transient_accumulated_grid` solves the
+distributions and the accumulated rewards over a whole time grid in one
+pass; :func:`accumulated_grid` returns its second half and the scalar
+:func:`accumulated_reward` is the one-point grid.  Backends:
 
-* ``"uniformization"`` — integrated uniformization; cost linear in
-  ``Lambda * t``.
+* ``"uniformization"`` — integrated uniformization on the streaming
+  walk (:mod:`repro.ctmc.streaming`); cost linear in ``Lambda * t``.
 * ``"augmented-expm"`` — the augmented-generator trick: with
   ``A = [[Q, r], [0, 0]]`` the last component of ``[pi(0), 0] expm(A t)``
-  is exactly ``int_0^t pi(u) r du``.  One dense matrix exponential,
-  stiffness-independent — required for the paper's 1e4-hour horizons.
+  is exactly ``int_0^t pi(u) r du``.  One dense matrix exponential per
+  point, stiffness-independent — required for the paper's 1e4-hour
+  horizons.
 * ``"augmented-krylov"`` — the same augmented-generator trick kept
-  sparse: one Krylov action (``expm_multiply``) of the CSR augmented
-  matrix.  Stiffness-independent with ``O(nnz)`` memory — the
+  sparse: segment-stepped Krylov actions (``expm_multiply``) of the CSR
+  augmented matrix.  Stiffness-independent with ``O(nnz)`` memory — the
   large-chain workhorse above ``DENSE_STATE_LIMIT``.
 * ``"quadrature"`` — adaptive quadrature over the transient solution
-  (slow; cross-validation only).
-* ``"auto"`` — uniformization when non-stiff; otherwise augmented expm
-  within the dense limit and augmented Krylov beyond it.
+  (slow; a reference path for cross-validation only, not available to
+  the fused solver).
+* ``"auto"`` — the shared rule of :func:`repro.ctmc.transient._choose`:
+  uniformization when non-stiff; otherwise augmented expm within the
+  dense limit and augmented Krylov beyond it.
 """
 
 from __future__ import annotations
@@ -29,41 +35,40 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.linalg import expm as dense_expm
-from scipy.sparse.linalg import expm_multiply
 
 from repro.ctmc import config
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.linalg import validate_rewards
 from repro.ctmc.streaming import streaming_accumulated_grid
-from repro.ctmc.transient import transient_distribution
-from repro.ctmc.uniformization import (
-    _accumulated_uniformization_walk,
-    _validate_time_grid,
-    accumulated_by_uniformization,
-    accumulated_by_uniformization_grid,
+from repro.ctmc.transient import (
+    _check_dense,
+    _check_method,
+    _choose,
+    _krylov_step,
+    _renormalise,
+    transient_distribution,
 )
+from repro.ctmc.uniformization import _validate_time_grid
 
-#: Supported accumulated-reward solver backends.
-ACCUMULATED_METHODS = (
-    "uniformization",
-    "streaming",
-    "augmented-expm",
-    "augmented-krylov",
-    "quadrature",
-    "auto",
-)
-
-#: Supported grid solver backends (see :func:`accumulated_grid`).
-ACCUMULATED_GRID_METHODS = (
+#: Methods supported by the fused transient+accumulated grid solver.
+TRANSIENT_ACCUMULATED_GRID_METHODS = (
     "auto",
     "uniformization",
-    "streaming",
     "augmented-expm",
     "augmented-krylov",
-    "augmented-propagator",
-    "quadrature",
 )
+
+#: Supported accumulated-reward backends, scalar and grid alike.
+ACCUMULATED_METHODS = TRANSIENT_ACCUMULATED_GRID_METHODS + ("quadrature",)
+
+#: The accumulated backend for each answer of the shared ``auto`` rule.
+_AUGMENTED = {
+    "uniformization": "uniformization",
+    "spectral": "augmented-expm",
+    "dense-expm": "augmented-expm",
+    "krylov": "augmented-krylov",
+}
 
 
 def _augmented_sparse(chain: CTMC, rewards: np.ndarray) -> sp.csr_matrix:
@@ -90,6 +95,9 @@ def accumulated_reward(
 ) -> float:
     """Expected reward accumulated by ``chain`` over ``[0, t]``.
 
+    The one-point case of :func:`accumulated_grid`.  ``t = 0`` returns
+    0 without a solve, so it records no backend.
+
     Parameters
     ----------
     chain:
@@ -101,97 +109,19 @@ def accumulated_reward(
     t:
         Interval length.
     method:
-        ``"uniformization"`` (integrated uniformization, default) or
-        ``"quadrature"`` (adaptive quadrature over the transient solution;
-        slower, used for cross-validation in tests and ablations).
+        Any entry of :data:`ACCUMULATED_METHODS`; ``"uniformization"``
+        (integrated uniformization) is the default, ``"quadrature"``
+        the slow cross-validation path.
     """
-    if method not in ACCUMULATED_METHODS:
-        raise CTMCError(
-            f"unknown accumulated method {method!r}; expected one of {ACCUMULATED_METHODS}"
-        )
+    _check_method(method, ACCUMULATED_METHODS, "accumulated")
     if t < 0:
         raise CTMCError(f"time must be non-negative, got {t}")
     r = validate_rewards(rewards, chain.num_states)
     if t == 0.0:
         return 0.0
-    if method == "auto":
-        lim = config.limits()
-        max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-        if max_exit * t <= lim.auto_stiffness_threshold:
-            method = (
-                "streaming"
-                if chain.num_states >= lim.streaming_state_threshold
-                else "uniformization"
-            )
-        elif chain.num_states < lim.dense_state_limit:
-            method = "augmented-expm"
-        else:
-            # Stiff and beyond the dense limit: stay sparse.
-            method = "augmented-krylov"
-    if method == "uniformization":
-        config.record_dispatch("uniformization")
-        return accumulated_by_uniformization(
-            chain.generator, chain.initial_distribution, r, t, tolerance=tolerance
-        )
-    if method == "streaming":
-        config.record_dispatch("streaming-uniformization")
-        result = streaming_accumulated_grid(
-            chain.generator,
-            chain.initial_distribution,
-            r,
-            np.array([t]),
-            tolerance=tolerance,
-        )
-        return float(result.accumulated[0])
-    if method == "augmented-expm":
-        config.record_dispatch("augmented-expm")
-        return _augmented_expm(chain, r, t)
-    if method == "augmented-krylov":
-        config.record_dispatch("augmented-krylov")
-        return _augmented_krylov(chain, r, t)
-    config.record_dispatch("quadrature")
-
-    def integrand(u: float) -> float:
-        return float(transient_distribution(chain, u) @ r)
-
-    value, _abserr = quad(integrand, 0.0, t, limit=200)
-    return float(value)
-
-
-def _augmented_expm(chain: CTMC, rewards: np.ndarray, t: float) -> float:
-    """Accumulated reward via the augmented generator ``[[Q, r], [0, 0]]``.
-
-    The augmented system evolves ``(pi(t), y(t))`` with
-    ``y'(t) = pi(t) . r``, so ``y(t)`` is exactly the accumulated reward.
-    """
-    n = chain.num_states
-    limit = config.limits().dense_state_limit
-    if n >= limit:
-        raise CTMCError(
-            f"augmented-expm limited to {limit} states; chain has {n}"
-        )
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = chain.generator.toarray()
-    a[:n, n] = rewards
-    state = np.zeros(n + 1)
-    state[:n] = chain.initial_distribution
-    result = state @ dense_expm(a * t)
-    return float(result[n])
-
-
-def _augmented_krylov(chain: CTMC, rewards: np.ndarray, t: float) -> float:
-    """Sparse accumulated reward: one Krylov action of ``[[Q, r], [0, 0]]``.
-
-    ``state @ expm(A t)`` is evaluated as ``expm_multiply(A^T t, state)``
-    on the CSR augmented generator — no densification, so this is the
-    path large composed fleets take for interval-of-time rewards.
-    """
-    n = chain.num_states
-    a = _augmented_sparse(chain, rewards)
-    state = np.zeros(n + 1)
-    state[:n] = chain.initial_distribution
-    result = expm_multiply(a.T.tocsr() * t, state)
-    return float(result[n])
+    return float(
+        accumulated_grid(chain, r, [t], method=method, tolerance=tolerance)[0]
+    )
 
 
 def accumulated_grid(
@@ -203,129 +133,28 @@ def accumulated_grid(
 ) -> np.ndarray:
     """Accumulated rewards ``E[Y(times[j])]`` for a whole time grid.
 
-    The grid is deduplicated up front, then the unique points are served
-    by one of four strategies:
-
-    * ``"uniformization"`` — one incremental integrated-uniformization
-      pass (:func:`~repro.ctmc.uniformization.accumulated_by_uniformization_grid`).
-      Sparse, no state limit; cost grows with ``Lambda * times[-1]``.
-    * ``"augmented-expm"`` — an independent dense augmented-generator
-      exponential per unique point; arithmetic identical to the scalar
-      :func:`accumulated_reward` augmented branch.  Stiffness-
-      independent.
-    * ``"augmented-krylov"`` — segment-stepped sparse Krylov actions of
-      the CSR augmented generator; stiffness-independent with ``O(nnz)``
-      memory, the backend large composed fleets dispatch to.
-    * ``"augmented-propagator"`` — step the augmented state with reused
-      ``exp(A dt)`` propagators; cheapest for dense grids on small
-      chains, with step round-off compounding along the grid.
-    * ``"quadrature"`` — independent per-point quadrature
-      (cross-validation only).
-
-    ``"auto"`` mirrors the scalar dispatch against ``times[-1]``.
-    Returns an array of shape ``(len(times),)``.
+    The accumulated half of :func:`transient_accumulated_grid`, except
+    for ``"quadrature"``, which integrates the transient solution
+    independently per unique point.  Returns an array of shape
+    ``(len(times),)``.
     """
+    _check_method(method, ACCUMULATED_METHODS, "accumulated")
+    if method != "quadrature":
+        return transient_accumulated_grid(
+            chain, rewards, times, method=method, tolerance=tolerance
+        )[1]
     grid = _validate_time_grid(times)
-    if method not in ACCUMULATED_GRID_METHODS:
-        raise CTMCError(
-            f"unknown accumulated grid method {method!r}; expected one of "
-            f"{ACCUMULATED_GRID_METHODS}"
-        )
     r = validate_rewards(rewards, chain.num_states)
     unique, inverse = np.unique(grid, return_inverse=True)
-    if method == "auto":
-        lim = config.limits()
-        max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-        if max_exit * float(unique[-1]) <= lim.auto_stiffness_threshold:
-            method = (
-                "streaming"
-                if chain.num_states >= lim.streaming_state_threshold
-                else "uniformization"
-            )
-        elif chain.num_states < lim.dense_state_limit:
-            method = "augmented-expm"
-        else:
-            method = "augmented-krylov"
-    if method == "uniformization":
-        config.record_dispatch("uniformization")
-        out = accumulated_by_uniformization_grid(
-            chain.generator,
-            chain.initial_distribution,
-            r,
-            unique,
-            tolerance=tolerance,
-        )
-    elif method == "streaming":
-        config.record_dispatch("streaming-uniformization")
-        out = streaming_accumulated_grid(
-            chain.generator,
-            chain.initial_distribution,
-            r,
-            unique,
-            tolerance=tolerance,
-        ).accumulated
-    elif method == "augmented-expm":
-        config.record_dispatch("augmented-expm", n=max(int(unique.size), 1))
-        out = np.array([_augmented_expm(chain, r, float(t)) for t in unique])
-    elif method == "augmented-krylov":
-        config.record_dispatch("augmented-krylov")
-        out = _augmented_krylov_grid(chain, r, unique)[1]
-    elif method == "augmented-propagator":
-        config.record_dispatch("augmented-expm")
-        out = _augmented_propagator_grid(chain, r, unique)
-    else:
-        config.record_dispatch("quadrature")
-        out = np.array(
-            [
-                accumulated_reward(chain, r, float(t), method="quadrature")
-                for t in unique
-            ]
-        )
+    config.record_dispatch("quadrature")
+
+    def integrand(u: float) -> float:
+        return float(transient_distribution(chain, u) @ r)
+
+    out = np.array(
+        [quad(integrand, 0.0, float(t), limit=200)[0] for t in unique]
+    )
     return out[inverse]
-
-
-def _augmented_krylov_grid(
-    chain: CTMC, rewards: np.ndarray, unique: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step the sparse augmented state along the grid with Krylov actions.
-
-    ``(pi(t), y(t))`` advances segment-to-segment — one ``expm_multiply``
-    per distinct segment length — so the whole curve costs one pass, and
-    memory stays ``O(nnz + n)``.  Returns ``(pi_rows, accumulated)``; the
-    fused transient+accumulated grid solver reuses both.
-    """
-    n = chain.num_states
-    at = _augmented_sparse(chain, rewards).T.tocsr()
-    state = np.zeros(n + 1)
-    state[:n] = chain.initial_distribution
-    rows = np.empty((unique.size, n))
-    acc = np.empty(unique.size)
-    prev = 0.0
-    for k, t in enumerate(unique):
-        dt = float(t) - prev
-        if dt > 0.0:
-            state = expm_multiply(at * dt, state)
-        row = np.clip(state[:n], 0.0, None)
-        total = row.sum()
-        if total > 0:
-            row = row / total
-        # Keep the carried state normalised too: the augmented walk only
-        # drifts by round-off, and renormalising stops it compounding.
-        state[:n] = row
-        rows[k] = row
-        acc[k] = state[n]
-        prev = float(t)
-    return rows, acc
-
-
-#: Methods supported by the fused transient+accumulated grid solver.
-TRANSIENT_ACCUMULATED_GRID_METHODS = (
-    "auto",
-    "uniformization",
-    "streaming",
-    "augmented-expm",
-    "augmented-krylov",
-)
 
 
 def transient_accumulated_grid(
@@ -340,53 +169,31 @@ def transient_accumulated_grid(
     Returns ``(pi_grid, accumulated)`` where ``pi_grid[j]`` is the state
     distribution at ``times[j]`` and ``accumulated[j]`` the reward
     integral over ``[0, times[j]]``.  Both come from a single solver
-    pass per unique time point:
+    pass:
 
     * ``"augmented-expm"`` — the augmented generator
       ``A = [[Q, r], [0, 0]]`` is block upper-triangular, so
       ``expm(A t)`` embeds ``expm(Q t)`` as its leading block; one dense
       exponential per unique point yields the distribution row and the
-      integral together, at the cost the scalar path pays for the
-      integral alone.
-    * ``"uniformization"`` — the incremental integrated-uniformization
-      walk already carries ``pi`` between segments; this returns it.
+      integral together.
+    * ``"augmented-krylov"`` — the sparse augmented state
+      ``(pi(t), y(t))`` stepped segment to segment.
+    * ``"uniformization"`` — the streaming walk; one k-walk per segment
+      serves both the distribution and the integral.
 
-    ``"auto"`` mirrors :func:`accumulated_grid`'s dispatch.  This is the
-    solver behind the GSU batch path, where the same ``RMGd`` grid
-    serves three instant measures plus the accumulated one.
+    This is the solver behind the GSU batch path, where the same
+    ``RMGd`` grid serves three instant measures plus the accumulated one.
     """
     grid = _validate_time_grid(times)
-    if method not in TRANSIENT_ACCUMULATED_GRID_METHODS:
-        raise CTMCError(
-            f"unknown transient+accumulated grid method {method!r}; expected "
-            f"one of {TRANSIENT_ACCUMULATED_GRID_METHODS}"
-        )
+    _check_method(
+        method, TRANSIENT_ACCUMULATED_GRID_METHODS, "transient+accumulated grid"
+    )
     r = validate_rewards(rewards, chain.num_states)
     unique, inverse = np.unique(grid, return_inverse=True)
     if method == "auto":
-        lim = config.limits()
-        max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-        if max_exit * float(unique[-1]) <= lim.auto_stiffness_threshold:
-            method = (
-                "streaming"
-                if chain.num_states >= lim.streaming_state_threshold
-                else "uniformization"
-            )
-        elif chain.num_states < lim.dense_state_limit:
-            method = "augmented-expm"
-        else:
-            method = "augmented-krylov"
+        method = _AUGMENTED[_choose(chain, float(unique[-1]))]
     if method == "uniformization":
         config.record_dispatch("uniformization")
-        acc, rows = _accumulated_uniformization_walk(
-            chain.generator,
-            chain.initial_distribution,
-            r,
-            unique,
-            tolerance,
-        )
-    elif method == "streaming":
-        config.record_dispatch("streaming-uniformization")
         result = streaming_accumulated_grid(
             chain.generator,
             chain.initial_distribution,
@@ -399,64 +206,64 @@ def transient_accumulated_grid(
         config.record_dispatch("augmented-krylov")
         rows, acc = _augmented_krylov_grid(chain, r, unique)
     else:
-        n = chain.num_states
-        limit = config.limits().dense_state_limit
-        if n >= limit:
-            raise CTMCError(
-                f"augmented-expm limited to {limit} states; chain has {n}"
-            )
-        config.record_dispatch("augmented-expm", n=max(int(unique.size), 1))
-        a = np.zeros((n + 1, n + 1))
-        a[:n, :n] = chain.generator.toarray()
-        a[:n, n] = r
-        state = np.zeros(n + 1)
-        state[:n] = chain.initial_distribution
-        rows = np.empty((unique.size, n))
-        acc = np.empty(unique.size)
-        for k, t in enumerate(unique):
-            if t == 0.0:
-                rows[k] = state[:n]
-                acc[k] = 0.0
-                continue
-            result = state @ dense_expm(a * float(t))
-            acc[k] = result[n]
-            row = np.clip(result[:n], 0.0, None)
-            total = row.sum()
-            if total > 0:
-                row = row / total
-            rows[k] = row
+        rows, acc = _augmented_expm_grid(chain, r, unique)
     return rows[inverse], acc[inverse]
 
 
-def _augmented_propagator_grid(
+def _augmented_expm_grid(
     chain: CTMC, rewards: np.ndarray, unique: np.ndarray
-) -> np.ndarray:
-    """Step ``(pi(t), y(t))`` along the grid with reused ``exp(A dt)``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One dense exponential of ``[[Q, r], [0, 0]]`` per unique time.
+
+    The augmented system evolves ``(pi(t), y(t))`` with
+    ``y'(t) = pi(t) . r``, so ``y(t)`` is exactly the accumulated reward.
+    """
+    _check_dense(chain, "augmented-expm")
+    config.record_dispatch("augmented-expm", n=max(int(unique.size), 1))
     n = chain.num_states
-    limit = config.limits().dense_state_limit
-    if n >= limit:
-        raise CTMCError(
-            f"augmented-propagator limited to {limit} states; chain has {n}"
-        )
     a = np.zeros((n + 1, n + 1))
     a[:n, :n] = chain.generator.toarray()
     a[:n, n] = rewards
     state = np.zeros(n + 1)
     state[:n] = chain.initial_distribution
-    propagators: dict[float, np.ndarray] = {}
-    out = np.empty(unique.size)
+    rows = np.empty((unique.size, n))
+    acc = np.empty(unique.size)
+    for k, t in enumerate(unique):
+        if t == 0.0:
+            rows[k] = state[:n]
+            acc[k] = 0.0
+            continue
+        result = state @ dense_expm(a * float(t))
+        acc[k] = result[n]
+        rows[k] = _renormalise(result[:n])
+    return rows, acc
+
+
+def _augmented_krylov_grid(
+    chain: CTMC, rewards: np.ndarray, unique: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step the sparse augmented state along the grid with Krylov actions.
+
+    ``(pi(t), y(t))`` advances segment-to-segment — one
+    :func:`~repro.ctmc.transient._krylov_step` per segment — so the
+    whole curve costs one pass, and memory stays ``O(nnz + n)``.
+    """
+    n = chain.num_states
+    at = _augmented_sparse(chain, rewards).T.tocsr()
+    state = np.zeros(n + 1)
+    state[:n] = chain.initial_distribution
+    rows = np.empty((unique.size, n))
+    acc = np.empty(unique.size)
     prev = 0.0
     for k, t in enumerate(unique):
-        dt = float(t) - prev
-        if dt > 0.0:
-            propagator = propagators.get(dt)
-            if propagator is None:
-                propagator = dense_expm(a * dt)
-                propagators[dt] = propagator
-            state = state @ propagator
-        out[k] = state[n]
+        state = _krylov_step(at, float(t) - prev, state)
+        # Keep the carried state normalised too: the augmented walk only
+        # drifts by round-off, and renormalising stops it compounding.
+        state[:n] = _renormalise(state[:n])
+        rows[k] = state[:n]
+        acc[k] = state[n]
         prev = float(t)
-    return out
+    return rows, acc
 
 
 def averaged_interval_reward(

@@ -27,14 +27,6 @@ one documented place, instead of being scattered across
     Largest chain :func:`repro.ctmc.lumping.lump` processes with the
     per-state reference loop; larger chains use the vectorised sparse
     aggregation path.
-``STREAMING_STATE_THRESHOLD``
-    State count at which the grid ``auto`` dispatch swaps the plain
-    uniformization walk for the *streaming* bounded-truncation path
-    (:mod:`repro.ctmc.streaming`): preallocated ping-pong workspaces
-    sized against ``REPRO_MEMORY_BUDGET_MB``, no per-step allocation,
-    and a per-call truncation-error certificate.  Both paths walk the
-    same Fox–Glynn series; streaming is about memory discipline at the
-    1e6+-state tier, not a different numeric method.
 
 Each limit has an environment override (``REPRO_<NAME>``) read at
 dispatch time, so a campaign can be re-run with, say,
@@ -80,10 +72,6 @@ MAX_UNIFORMIZATION_TERMS = 1_000_000
 #: Largest chain lumped with the per-state reference loop.
 LUMP_LOOP_LIMIT = 2_000
 
-#: State count at which grid ``auto`` dispatch prefers the streaming
-#: (workspace-disciplined, certificate-carrying) uniformization path.
-STREAMING_STATE_THRESHOLD = 100_000
-
 _ENV_PREFIX = "REPRO_"
 
 
@@ -98,7 +86,6 @@ class SolverLimits:
     direct_steady_limit: int = DIRECT_STEADY_LIMIT
     max_uniformization_terms: int = MAX_UNIFORMIZATION_TERMS
     lump_loop_limit: int = LUMP_LOOP_LIMIT
-    streaming_state_threshold: int = STREAMING_STATE_THRESHOLD
 
 
 _DEFAULTS = SolverLimits()

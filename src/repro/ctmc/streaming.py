@@ -1,14 +1,8 @@
-"""Streaming bounded-truncation uniformization for 1e6+-state chains.
+"""Streaming bounded-truncation uniformization: the one Jensen walk.
 
-The plain uniformization walk (:mod:`repro.ctmc.uniformization`) is
-numerically right for the million-state tier but memory-careless: every
-Jensen step ``vec @ P`` allocates a fresh state vector, ``P = I + Q/L``
-duplicates the generator with an extra diagonal, and nothing ties the
-working set to a declared budget.  At ``4**10`` states a 21-point curve
-churns tens of gigabytes of short-lived allocations through the heap.
-
-This module is the same Fox–Glynn series with production memory
-discipline:
+Every ``method="uniformization"`` solve — transient, accumulated or
+fused, scalar or grid — runs :func:`_stream`, the Fox–Glynn series with
+production memory discipline:
 
 * **Preallocated ping-pong workspaces** — four state vectors
   (:class:`StreamingWorkspace`) allocated once and reused across every
@@ -33,10 +27,9 @@ discipline:
   rewards (survival-series tail via the closed-form Poisson excess
   mean, plus accrual of the carried distribution error).
 
-The grid ``auto`` dispatch in :mod:`repro.ctmc.transient` /
-:mod:`repro.ctmc.accumulated` routes non-stiff chains at or above
-``STREAMING_STATE_THRESHOLD`` states here; smaller chains keep the
-plain walk (identical numerics, simpler code).
+The walk is incremental: the distribution at ``times[j]`` seeds the
+walk for the segment ``times[j+1] - times[j]``, so a whole curve costs
+one pass of length ``Lambda * times[-1]`` rather than one per point.
 """
 
 from __future__ import annotations
@@ -235,11 +228,10 @@ def streaming_transient_grid(
 ) -> StreamingResult:
     """Transient distributions over a time grid, streamed under budget.
 
-    The incremental Fox–Glynn walk of
-    :func:`~repro.ctmc.uniformization.transient_by_uniformization_grid`
-    with preallocated workspaces, no per-step allocation, budget
-    admission, and a :class:`TruncationCertificate`.  The grid must be
-    non-decreasing; duplicates are served for free.
+    The incremental Fox–Glynn walk with preallocated workspaces, no
+    per-step allocation, budget admission, and a
+    :class:`TruncationCertificate`.  The grid must be non-decreasing;
+    duplicates are served for free.
     """
     return _stream(
         q, initial, None, times, tolerance, budget_bytes, workspace
@@ -259,8 +251,7 @@ def streaming_accumulated_grid(
 
     One k-walk per segment serves both series — pmf weights rebuild the
     distribution at the segment end, survival weights integrate the
-    reward across it — exactly as the plain fused walk, but workspace-
-    disciplined and with both error bounds certified.
+    reward across it — with both error bounds certified.
     """
     r = np.ascontiguousarray(rewards, dtype=np.float64)
     return _stream(q, initial, r, times, tolerance, budget_bytes, workspace)

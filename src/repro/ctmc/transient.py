@@ -1,39 +1,35 @@
 """Transient (instant-of-time) solutions and rewards.
 
-The primary entry points are :func:`transient_distribution` and
-:func:`instant_of_time_reward`.  Five backends are available:
+One implementation per solve kind: :func:`transient_grid` solves a whole
+time grid, and the scalar :func:`transient_distribution` is its
+one-point case, so scalar and grid answers agree bitwise by
+construction.  Four backends:
 
-* ``"uniformization"`` — Jensen's method with Fox–Glynn truncation.
-  Cost grows linearly with ``Lambda * t``, so it suits non-stiff
-  problems.  Sparse; no state-count limit, but the Fox–Glynn window is
-  bounded by ``MAX_UNIFORMIZATION_TERMS`` (bounded truncation) so a
-  stiff problem fails fast instead of walking millions of matvecs.
-* ``"expm"`` / ``"krylov"`` — Krylov action of the matrix exponential
-  (``scipy.sparse.linalg.expm_multiply``).  Sparse, stiffness-tolerant;
-  the backend ``auto`` picks for chains too large to densify.  As a
-  grid method ``"krylov"`` steps segment-to-segment (one Krylov action
-  per segment) instead of restarting from ``t = 0`` per point.
-* ``"dense-expm"`` — dense Padé + scaling-and-squaring
-  (``scipy.linalg.expm``).  Cost is ``O(n^3 log(Lambda t))`` —
-  essentially independent of stiffness, which matters for the paper's
-  models where message rates (1200/h) and fault rates (1e-4/h) differ by
-  seven orders of magnitude over 1e4-hour horizons.  Limited to
-  ``DENSE_STATE_LIMIT`` states: dense is the small-model special case,
-  CSR is the native representation everywhere else.
+* ``"uniformization"`` — Jensen's method with Fox–Glynn truncation, run
+  by the streaming walk (:mod:`repro.ctmc.streaming`): one incremental
+  pass across the grid with preallocated workspaces and a truncation
+  certificate.  Cost grows linearly with ``Lambda * t``, so it suits
+  non-stiff problems.  Sparse, no state-count limit; the Fox–Glynn
+  window is bounded by ``MAX_UNIFORMIZATION_TERMS`` so a stiff problem
+  fails fast instead of walking millions of matvecs.
 * ``"spectral"`` — one eigendecomposition of ``Q``, then each time is an
   independent ``O(n^2)`` evaluation.  Stiffness-independent and far
   cheaper than repeated Padé exponentials on tiny chains; limited to
   ``SPECTRAL_STATE_LIMIT`` states and falls back to dense expm on
   defective or ill-conditioned generators.
-* ``"streaming"`` — the same Jensen series with production memory
-  discipline (:mod:`repro.ctmc.streaming`): preallocated ping-pong
-  workspaces admitted against ``REPRO_MEMORY_BUDGET_MB``, no per-step
-  allocation, and a certified truncation-error bound.  The 1e6+-state
-  tier's non-stiff workhorse.
-* ``"auto"`` — uniformization when ``Lambda * t`` is small (streaming
-  at or above ``STREAMING_STATE_THRESHOLD`` states); for stiff
-  problems, spectral on tiny chains, dense expm within the dense limit,
-  and sparse Krylov beyond it (the default used by the GSU measures).
+* ``"dense-expm"`` — dense Padé + scaling-and-squaring
+  (``scipy.linalg.expm``), one independent exponential per time.  Cost
+  is ``O(n^3 log(Lambda t))`` — essentially independent of stiffness,
+  which matters for the paper's models where message rates (1200/h) and
+  fault rates (1e-4/h) differ by seven orders of magnitude over
+  1e4-hour horizons.  Limited to ``DENSE_STATE_LIMIT`` states.
+* ``"krylov"`` — segment-stepped Krylov actions of the matrix
+  exponential (``scipy.sparse.linalg.expm_multiply``).  Sparse and
+  stiffness-tolerant; the backend for chains too large to densify.
+* ``"auto"`` — :func:`_choose`: uniformization when ``Lambda * t`` is
+  small; for stiff problems, spectral on tiny chains, dense expm within
+  the dense limit, and Krylov beyond it (the default of the GSU
+  measures).
 
 All dispatch cutoffs live in :mod:`repro.ctmc.config` (with env-var
 overrides); every solve records its backend there so the serving layer
@@ -43,6 +39,7 @@ can expose dense/sparse/uniformization dispatch counts.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -57,33 +54,20 @@ from repro.ctmc.config import (  # noqa: F401  (re-exported compatibility names)
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.linalg import validate_rewards
 from repro.ctmc.streaming import streaming_transient_grid
-from repro.ctmc.uniformization import (
-    _validate_time_grid,
-    transient_by_uniformization,
-    transient_by_uniformization_grid,
-)
+from repro.ctmc.uniformization import _validate_time_grid
 
-#: Supported transient solver backends.
-TRANSIENT_METHODS = (
-    "uniformization",
-    "streaming",
-    "expm",
-    "dense-expm",
-    "spectral",
-    "auto",
-)
+#: Supported transient backends, scalar and grid alike.
+TRANSIENT_METHODS = ("auto", "uniformization", "spectral", "dense-expm", "krylov")
 
-#: Supported grid solver backends (see :func:`transient_grid`).
-TRANSIENT_GRID_METHODS = (
-    "auto",
-    "uniformization",
-    "streaming",
-    "dense-expm",
-    "spectral",
-    "propagator",
-    "expm",
-    "krylov",
-)
+#: Smallest normal double.
+_TINY = float(np.finfo(float).tiny)
+
+
+def _check_method(method: str, methods: tuple[str, ...], kind: str) -> None:
+    if method not in methods:
+        raise CTMCError(
+            f"unknown {kind} method {method!r}; expected one of {methods}"
+        )
 
 
 def transient_distribution(
@@ -94,6 +78,9 @@ def transient_distribution(
 ) -> np.ndarray:
     """State probability vector ``pi(t)`` of ``chain`` at time ``t``.
 
+    The one-point case of :func:`transient_grid`.  ``t = 0`` returns the
+    initial distribution without a solve, so it records no backend.
+
     Parameters
     ----------
     chain:
@@ -101,64 +88,29 @@ def transient_distribution(
     t:
         Non-negative time horizon.
     method:
-        ``"uniformization"`` (default; Fox–Glynn truncated Jensen series)
-        or ``"expm"`` (Krylov/scaling-and-squaring action of the matrix
-        exponential, used for cross-validation), or any other entry of
-        :data:`TRANSIENT_METHODS`.
+        Any entry of :data:`TRANSIENT_METHODS`; ``"uniformization"`` is
+        the default.
     tolerance:
         Truncation tolerance for the uniformization backend.
     """
-    if method not in TRANSIENT_METHODS:
-        raise CTMCError(
-            f"unknown transient method {method!r}; expected one of {TRANSIENT_METHODS}"
-        )
+    _check_method(method, TRANSIENT_METHODS, "transient")
     if t < 0:
         raise CTMCError(f"time must be non-negative, got {t}")
-    pi0 = chain.initial_distribution
     if t == 0.0:
-        return pi0
-    if method == "auto":
-        method = _choose_method(chain, t)
-    if method == "uniformization":
-        config.record_dispatch("uniformization")
-        return transient_by_uniformization(
-            chain.generator, pi0, t, tolerance=tolerance
-        )
-    if method == "streaming":
-        config.record_dispatch("streaming-uniformization")
-        result = streaming_transient_grid(
-            chain.generator, pi0, np.array([t]), tolerance=tolerance
-        )
-        return result.rows[0]
-    if method == "spectral":
-        rows = _spectral_rows(chain, np.array([t]))
-        if rows is not None:
-            config.record_dispatch("spectral")
-            return rows[0]
-        method = "dense-expm"
-    if method == "dense-expm":
-        _check_dense(chain)
-        config.record_dispatch("dense-expm")
-        result = pi0 @ dense_expm(chain.generator.toarray() * t)
-    else:
-        # expm backend: pi(t) = pi(0) exp(Q t)  ==  (exp(Q^T t) pi(0)^T)^T
-        config.record_dispatch("krylov")
-        result = expm_multiply(chain.generator.T.tocsc() * t, pi0)
-    result = np.clip(result, 0.0, None)
-    total = result.sum()
-    if total > 0:
-        result = result / total
-    return result
+        return chain.initial_distribution
+    return transient_grid(chain, [t], method=method, tolerance=tolerance)[0]
 
 
-def _choose_method(chain: CTMC, t: float) -> str:
-    """Pick uniformization / spectral / dense expm / Krylov by stiffness
-    and size (cutoffs from :func:`repro.ctmc.config.limits`)."""
+def _choose(chain: CTMC, t_max: float) -> str:
+    """The ``auto`` rule shared by every solve kind.
+
+    Returns a transient backend by stiffness and size (cutoffs from
+    :func:`repro.ctmc.config.limits`); accumulated solves map it to
+    their own backend.
+    """
     lim = config.limits()
     max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-    if max_exit * t <= lim.auto_stiffness_threshold:
-        if chain.num_states >= lim.streaming_state_threshold:
-            return "streaming"
+    if max_exit * t_max <= lim.auto_stiffness_threshold:
         return "uniformization"
     if chain.num_states <= lim.spectral_state_limit:
         return "spectral"
@@ -167,7 +119,7 @@ def _choose_method(chain: CTMC, t: float) -> str:
     # Stiff *and* beyond the dense limit: stay sparse via the Krylov
     # action of the exponential rather than densifying or walking an
     # unbounded uniformization series.
-    return "expm"
+    return "krylov"
 
 
 def _spectral_rows(chain: CTMC, unique: np.ndarray) -> np.ndarray | None:
@@ -176,10 +128,9 @@ def _spectral_rows(chain: CTMC, unique: np.ndarray) -> np.ndarray | None:
     ``pi(t) = pi(0) V e^{diag(w) t} V^{-1}`` with ``Q = V diag(w) V^{-1}``.
     Every time point is an *independent* evaluation from the same
     factorisation, so results do not depend on which other times ride
-    along in the grid — the scalar path and any grid containing ``t``
-    produce bitwise-identical values.  Returns ``None`` when the chain
-    is too large, the generator is defective, or the eigenvector matrix
-    is ill-conditioned; callers then fall back to dense expm.
+    along in the grid.  Returns ``None`` when the chain is too large,
+    the generator is defective, or the eigenvector matrix is
+    ill-conditioned; callers then fall back to dense expm.
     """
     lim = config.limits()
     n = chain.num_states
@@ -203,20 +154,15 @@ def _spectral_rows(chain: CTMC, unique: np.ndarray) -> np.ndarray | None:
         if t == 0.0:
             out[k] = pi0
             continue
-        row = np.real((coeff * np.exp(w * float(t))) @ vinv)
-        row = np.clip(row, 0.0, None)
-        total = row.sum()
-        if total > 0:
-            row = row / total
-        out[k] = row
+        out[k] = _renormalise(np.real((coeff * np.exp(w * float(t))) @ vinv))
     return out
 
 
-def _check_dense(chain: CTMC) -> None:
+def _check_dense(chain: CTMC, backend: str) -> None:
     limit = config.limits().dense_state_limit
     if chain.num_states > limit:
         raise CTMCError(
-            f"dense-expm limited to {limit} states; chain has "
+            f"{backend} limited to {limit} states; chain has "
             f"{chain.num_states}"
         )
 
@@ -229,100 +175,44 @@ def transient_grid(
 ) -> np.ndarray:
     """Transient distributions at every point of a time grid, batched.
 
-    The grid is deduplicated up front (repeated time points are solved
-    once and broadcast back), then the unique points are served by one of
-    five strategies:
-
-    * ``"uniformization"`` — one incremental Fox–Glynn pass across the
-      whole grid (:func:`~repro.ctmc.uniformization.transient_by_uniformization_grid`).
-      Sparse; no state-count limit; non-uniform grids included.  Cost
-      grows with ``Lambda * times[-1]``, so it suits non-stiff problems.
-    * ``"krylov"`` — segment-stepped sparse Krylov actions
-      (``expm_multiply`` per segment).  Sparse and stiffness-tolerant;
-      the large-chain workhorse above the dense limit.
-    * ``"dense-expm"`` — an independent dense ``expm(Q t)`` per unique
-      point; arithmetic identical to the scalar
-      :func:`transient_distribution` dense branch.  Stiffness-
-      independent; dense state limit applies.
-    * ``"propagator"`` — dense step propagators ``exp(Q dt)`` reused
-      across equal segment lengths, one matrix-vector product per point.
-      Cheapest for dense grids on small chains; step round-off compounds
-      along the grid, so prefer ``"dense-expm"`` when bitwise agreement
-      with the scalar path matters.
-    * ``"expm"`` — an independent Krylov ``expm_multiply`` per point
-      from ``t = 0`` (cross-validation backend).
-
-    ``"auto"`` (the default) picks uniformization when
-    ``Lambda * times[-1]`` is below ``AUTO_STIFFNESS_THRESHOLD``,
-    dense-expm for stiff problems within ``DENSE_STATE_LIMIT``, and the
-    sparse Krylov stepper beyond it.  Returns an array of shape
-    ``(len(times), num_states)``.
+    The grid must be non-decreasing.  It is deduplicated up front
+    (repeated time points are solved once and broadcast back), then the
+    unique points go to one backend of :data:`TRANSIENT_METHODS` (see
+    the module docstring).  Spectral and dense-expm rows are independent
+    per point, so a point's value never depends on its companions;
+    uniformization and Krylov step from one point to the next.  Returns
+    an array of shape ``(len(times), num_states)``.
     """
     grid = _validate_time_grid(times)
-    if method not in TRANSIENT_GRID_METHODS:
-        raise CTMCError(
-            f"unknown transient grid method {method!r}; expected one of "
-            f"{TRANSIENT_GRID_METHODS}"
-        )
+    _check_method(method, TRANSIENT_METHODS, "transient")
     unique, inverse = np.unique(grid, return_inverse=True)
     if method == "auto":
-        method = _choose_grid_method(chain, float(unique[-1]))
+        method = _choose(chain, float(unique[-1]))
+    if method == "spectral":
+        out = _spectral_rows(chain, unique)
+        if out is not None:
+            config.record_dispatch("spectral")
+            return out[inverse]
+        method = "dense-expm"
     if method == "uniformization":
         config.record_dispatch("uniformization")
-        out = transient_by_uniformization_grid(
-            chain.generator,
-            chain.initial_distribution,
-            unique,
-            tolerance=tolerance,
-        )
-    elif method == "streaming":
-        config.record_dispatch("streaming-uniformization")
         out = streaming_transient_grid(
             chain.generator,
             chain.initial_distribution,
             unique,
             tolerance=tolerance,
         ).rows
-    elif method == "spectral":
-        out = _spectral_rows(chain, unique)
-        if out is None:
-            out = _dense_expm_grid(chain, unique)
-        else:
-            config.record_dispatch("spectral")
-    elif method == "dense-expm":
-        out = _dense_expm_grid(chain, unique)
-    elif method == "propagator":
-        out = _propagator_grid(chain, unique)
     elif method == "krylov":
         config.record_dispatch("krylov")
         out = _krylov_grid(chain, unique)
     else:
-        out = np.empty((unique.size, chain.num_states))
-        for k, t in enumerate(unique):
-            out[k] = transient_distribution(chain, float(t), method="expm")
+        out = _dense_expm_grid(chain, unique)
     return out[inverse]
 
 
-def _choose_grid_method(chain: CTMC, t_max: float) -> str:
-    """Pick the grid strategy by stiffness and size (mirrors scalar auto)."""
-    lim = config.limits()
-    max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-    if max_exit * t_max <= lim.auto_stiffness_threshold:
-        if chain.num_states >= lim.streaming_state_threshold:
-            return "streaming"
-        return "uniformization"
-    if chain.num_states <= lim.spectral_state_limit:
-        return "spectral"
-    if chain.num_states <= lim.dense_state_limit:
-        return "dense-expm"
-    # Stiff *and* large: the segment-stepped Krylov pass keeps memory
-    # O(nnz) and its cost does not scale with Lambda * t_max.
-    return "krylov"
-
-
 def _dense_expm_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
-    """One dense expm per unique time — scalar-identical arithmetic."""
-    _check_dense(chain)
+    """One dense expm per unique time."""
+    _check_dense(chain, "dense-expm")
     config.record_dispatch("dense-expm", n=max(int(unique.size), 1))
     pi0 = chain.initial_distribution
     out = np.empty((unique.size, chain.num_states))
@@ -330,56 +220,45 @@ def _dense_expm_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
         if t == 0.0:
             out[k] = pi0
             continue
-        row = pi0 @ dense_expm(chain.generator.toarray() * float(t))
-        row = np.clip(row, 0.0, None)
-        total = row.sum()
-        if total > 0:
-            row = row / total
-        out[k] = row
+        out[k] = _renormalise(
+            pi0 @ dense_expm(chain.generator.toarray() * float(t))
+        )
     return out
 
 
-def _propagator_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
-    """Step dense propagators ``exp(Q dt)`` along the grid, reusing them."""
-    _check_dense(chain)
-    config.record_dispatch("dense-expm")
-    q = chain.generator.toarray()
-    pi = chain.initial_distribution
-    propagators: dict[float, np.ndarray] = {}
-    out = np.empty((unique.size, chain.num_states))
-    prev = 0.0
-    for k, t in enumerate(unique):
-        dt = float(t) - prev
-        if dt > 0.0:
-            propagator = propagators.get(dt)
-            if propagator is None:
-                propagator = dense_expm(q * dt)
-                propagators[dt] = propagator
-            pi = pi @ propagator
-            pi = np.clip(pi, 0.0, None)
-            total = pi.sum()
-            if total > 0:
-                pi = pi / total
-        out[k] = pi
-        prev = float(t)
-    return out
+def _negligible(at: sp.csr_matrix, dt: float) -> bool:
+    """Whether ``at * dt`` is numerically zero: its entries sum below
+    the smallest normal double.
+
+    scipy's ``expm_multiply`` rounds its scaling count to zero on such
+    an operator and divides by that count, warning, before returning
+    the state unchanged.
+    """
+    return float(np.abs(at.data).sum()) * dt < _TINY
+
+
+def _krylov_step(at: sp.csr_matrix, dt: float, state: np.ndarray) -> np.ndarray:
+    """``state @ expm(A dt)`` as one Krylov action on ``at = A^T``; a
+    segment whose scaled operator is :func:`_negligible` leaves the
+    state unchanged."""
+    if _negligible(at, dt):
+        return state
+    return expm_multiply(at * dt, state)
 
 
 def _krylov_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
     """Segment-stepped sparse Krylov actions along the grid.
 
     ``pi(t_{j+1}) = pi(t_j) exp(Q dt_j)`` with each step one
-    ``expm_multiply`` on the transposed CSR generator — memory stays
-    ``O(nnz + n)`` regardless of state count, and cost is independent of
-    the stiffness ratio (unlike uniformization, whose series length is
-    ``Lambda * t``).  Uniform grids collapse into a *single*
-    ``expm_multiply`` call over the whole grid (scipy evaluates all the
-    equally spaced endpoints from one Krylov decomposition per step).
+    :func:`_krylov_step` on the transposed CSR generator — memory stays
+    ``O(nnz + n)`` regardless of state count.  Uniform grids collapse
+    into a *single* ``expm_multiply`` call over the whole grid (scipy
+    evaluates all the equally spaced endpoints from one Krylov
+    decomposition per step).
     """
     at = chain.generator.T.tocsr()
     pi0 = chain.initial_distribution
-    n = chain.num_states
-    out = np.empty((unique.size, n))
+    out = np.empty((unique.size, chain.num_states))
 
     start = 0
     if unique[0] == 0.0:
@@ -390,8 +269,10 @@ def _krylov_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
     positive = unique[start:]
     diffs = np.diff(np.concatenate(([0.0], positive)))
     # Uniform spacing from t=0: one multi-endpoint Krylov evaluation.
-    if positive.size > 1 and np.allclose(
-        diffs, diffs[0], rtol=1e-12, atol=0.0
+    if (
+        positive.size > 1
+        and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
+        and not _negligible(at, float(diffs[0]))
     ):
         rows = expm_multiply(
             at,
@@ -408,10 +289,7 @@ def _krylov_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
     vec = pi0.copy()
     prev = 0.0
     for k, t in enumerate(positive):
-        dt = float(t) - prev
-        if dt > 0.0:
-            vec = expm_multiply(at * dt, vec)
-            vec = _renormalise(vec)
+        vec = _renormalise(_krylov_step(at, float(t) - prev, vec))
         out[start + k] = vec
         prev = float(t)
     return out

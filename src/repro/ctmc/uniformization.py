@@ -1,4 +1,5 @@
-"""Uniformization (Jensen's method) with Fox–Glynn Poisson truncation.
+"""Uniformization (Jensen's method) building blocks: Fox–Glynn Poisson
+truncation and the uniformized DTMC.
 
 Uniformization converts the transient solution of a CTMC into a weighted
 sum of DTMC powers:
@@ -10,9 +11,13 @@ rate at least the largest exit rate.  The Fox–Glynn algorithm computes the
 Poisson weights stably and picks truncation points so the neglected mass
 is below a requested tolerance.
 
-This is the transient engine used by UltraSAN/Möbius-style tools and the
-one this reproduction relies on for every instant-of-time constituent
-measure.
+This module holds the Poisson helpers (:func:`fox_glynn_weights`,
+:func:`accrual_right_point`, :func:`poisson_excess_mean`), the
+bounded-truncation guard and :func:`uniformize`.  The one Jensen walk
+that sums the series lives in :mod:`repro.ctmc.streaming`; every
+``method="uniformization"`` solve runs it.  This is the transient engine
+used by UltraSAN/Möbius-style tools and the one this reproduction
+relies on for every non-stiff constituent measure.
 """
 
 from __future__ import annotations
@@ -33,17 +38,19 @@ def _check_window_bound(right: int) -> None:
 
     The Fox–Glynn window length is ``O(Lambda * t)``; for a stiff problem
     that can mean millions of matrix-vector products per segment.  The
-    ``auto`` dispatch layers route such problems to the Krylov backends,
-    but a direct ``method="uniformization"`` request fails fast here
-    instead of silently burning hours.  Bound configurable via
+    ``auto`` dispatch routes such problems to the matrix-exponential
+    backends, but a direct ``method="uniformization"`` request fails
+    fast here instead of silently burning hours.  Bound configurable via
     ``REPRO_MAX_UNIFORMIZATION_TERMS``.
     """
     limit = config.limits().max_uniformization_terms
     if right > limit:
         raise CTMCError(
             f"uniformization series needs {right} terms, above the "
-            f"MAX_UNIFORMIZATION_TERMS bound of {limit}; use the Krylov "
-            "('expm'/'krylov') or dense-expm backend for this stiffness, "
+            f"MAX_UNIFORMIZATION_TERMS bound of {limit}; use method 'auto' "
+            "or a matrix-exponential backend for this stiffness ('spectral', "
+            "'dense-expm' or 'krylov' for transient solves, "
+            "'augmented-expm' or 'augmented-krylov' for accumulated ones), "
             "or raise REPRO_MAX_UNIFORMIZATION_TERMS"
         )
 
@@ -199,51 +206,6 @@ def uniformize(q, rate: float | None = None) -> tuple[sp.csr_matrix, float]:
     return p, rate
 
 
-def transient_by_uniformization(
-    q,
-    initial: np.ndarray,
-    t: float,
-    tolerance: float = 1e-12,
-) -> np.ndarray:
-    """Transient state distribution ``pi(t)`` via uniformization.
-
-    Parameters
-    ----------
-    q:
-        CTMC generator.
-    initial:
-        Initial distribution row vector ``pi(0)``.
-    t:
-        Time horizon (``t >= 0``).
-    tolerance:
-        Bound on neglected Poisson mass (propagates to an L1 bound on the
-        result error).
-    """
-    if t < 0:
-        raise CTMCError(f"time must be non-negative, got {t}")
-    pi0 = np.asarray(initial, dtype=np.float64)
-    if t == 0.0:
-        return pi0.copy()
-    p, rate = uniformize(q)
-    window = fox_glynn_weights(rate * t, tolerance=tolerance)
-    _check_window_bound(window.right)
-    vec = pi0.copy()
-    result = np.zeros_like(vec)
-    scaled = np.empty_like(vec)  # preallocated workspace for w * vec
-    # Walk k = 0 .. right, accumulating weighted iterates inside the window.
-    for k in range(window.right + 1):
-        if k >= window.left:
-            np.multiply(window.weights[k - window.left], vec, out=scaled)
-            result += scaled
-        if k < window.right:
-            vec = vec @ p
-    # Compensate the truncated mass so probabilities still sum to ~1.
-    mass = window.total_mass
-    if mass > 0:
-        result /= mass
-    return result
-
-
 def _validate_time_grid(times) -> np.ndarray:
     """Validate a 1-D, non-negative, non-decreasing time grid."""
     grid = np.asarray(list(times), dtype=np.float64)
@@ -254,168 +216,3 @@ def _validate_time_grid(times) -> np.ndarray:
     if np.any(np.diff(grid) < 0):
         raise CTMCError("time grid must be non-decreasing")
     return grid
-
-
-def transient_by_uniformization_grid(
-    q,
-    initial: np.ndarray,
-    times,
-    tolerance: float = 1e-12,
-) -> np.ndarray:
-    """Transient distributions at every point of a time grid, one pass.
-
-    Instead of restarting the Jensen series from ``t = 0`` for each grid
-    point, the recursion is stepped *incrementally*: the distribution at
-    ``times[j]`` seeds the Fox–Glynn walk for the segment
-    ``times[j+1] - times[j]``.  Total cost is one uniformization pass of
-    length ``Lambda * times[-1]`` (plus one Poisson window per segment)
-    rather than ``sum_j Lambda * times[j]`` — for a dense curve this is
-    the difference between O(points) and O(points^2) matrix-vector work.
-
-    The grid must be non-decreasing; duplicate entries are served for
-    free (a zero-length segment reuses the previous distribution).  Works
-    on the sparse generator directly, so it has no dense state-count
-    limit.  Returns an array of shape ``(len(times), num_states)``.
-    """
-    grid = _validate_time_grid(times)
-    pi = np.asarray(initial, dtype=np.float64).copy()
-    out = np.empty((grid.size, pi.size))
-    p = None
-    rate = None
-    scaled = np.empty_like(pi)  # workspace reused across segments
-    prev = 0.0
-    for j, t in enumerate(grid):
-        dt = float(t) - prev
-        if dt > 0.0:
-            if p is None:
-                p, rate = uniformize(q)
-            window = fox_glynn_weights(rate * dt, tolerance=tolerance)
-            _check_window_bound(window.right)
-            vec = pi
-            acc = np.zeros_like(pi)
-            for k in range(window.right + 1):
-                if k >= window.left:
-                    np.multiply(window.weights[k - window.left], vec, out=scaled)
-                    acc += scaled
-                if k < window.right:
-                    vec = vec @ p
-            mass = window.total_mass
-            if mass > 0:
-                acc /= mass
-            pi = acc
-        out[j] = pi
-        prev = float(t)
-    return out
-
-
-def _accumulated_uniformization_walk(
-    q,
-    initial: np.ndarray,
-    rewards: np.ndarray,
-    grid: np.ndarray,
-    tolerance: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared incremental walk: accumulated rewards plus ``pi`` rows."""
-    pi = np.asarray(initial, dtype=np.float64).copy()
-    r = np.asarray(rewards, dtype=np.float64)
-    totals = np.empty(grid.size)
-    rows = np.empty((grid.size, pi.size))
-    p = None
-    rate = None
-    total = 0.0
-    prev = 0.0
-    for j, t in enumerate(grid):
-        dt = float(t) - prev
-        if dt > 0.0:
-            if p is None:
-                p, rate = uniformize(q)
-            mean = rate * dt
-            dist = stats.poisson(mean)
-            sf_right = accrual_right_point(mean, tolerance)
-            window = fox_glynn_weights(mean, tolerance=tolerance)
-            right = max(sf_right, window.right)
-            _check_window_bound(right)
-            vec = pi
-            acc = np.zeros_like(pi)
-            segment = 0.0
-            # One k-walk serves both series: pmf weights rebuild pi at the
-            # segment end, sf weights integrate the reward across it.
-            for k in range(right + 1):
-                if window.left <= k <= window.right:
-                    acc += window.weights[k - window.left] * vec
-                if k <= sf_right:
-                    segment += float(dist.sf(k)) * float(vec @ r)
-                if k < right:
-                    vec = vec @ p
-            mass = window.total_mass
-            if mass > 0:
-                acc /= mass
-            pi = acc
-            total += segment / rate
-        totals[j] = total
-        rows[j] = pi
-        prev = float(t)
-    return totals, rows
-
-
-def accumulated_by_uniformization_grid(
-    q,
-    initial: np.ndarray,
-    rewards: np.ndarray,
-    times,
-    tolerance: float = 1e-12,
-) -> np.ndarray:
-    """Accumulated rewards ``int_0^{times[j]} pi(u) r du`` in one pass.
-
-    Shares a single incremental uniformization walk across the grid: each
-    segment ``[times[j], times[j+1]]`` applies the integrated-
-    uniformization identity (Poisson survival weights) starting from the
-    distribution carried over the previous segments, and the per-segment
-    integrals telescope into the running total.  Grid rules match
-    :func:`transient_by_uniformization_grid`.  Returns an array of shape
-    ``(len(times),)``.
-    """
-    grid = _validate_time_grid(times)
-    totals, _rows = _accumulated_uniformization_walk(
-        q, initial, rewards, grid, tolerance
-    )
-    return totals
-
-
-def accumulated_by_uniformization(
-    q,
-    initial: np.ndarray,
-    rewards: np.ndarray,
-    t: float,
-    tolerance: float = 1e-12,
-) -> float:
-    """Expected reward accumulated over ``[0, t]``: ``int_0^t pi(u) r du``.
-
-    Uses the standard integrated-uniformization identity
-
-        E[Y(t)] = (1/Lambda) * sum_{k>=0} Pois_sf(k; Lambda t) * pi(0) P^k r
-
-    where ``Pois_sf(k; m) = P(N > k)`` for ``N ~ Poisson(m)``.  The
-    truncation point is chosen by :func:`accrual_right_point`, so the
-    neglected accrual tail is certified below
-    ``tolerance * max|r| * max(t, 1 / Lambda)`` — not merely "the first
-    neglected term is small".
-    """
-    if t < 0:
-        raise CTMCError(f"time must be non-negative, got {t}")
-    if t == 0.0:
-        return 0.0
-    pi0 = np.asarray(initial, dtype=np.float64)
-    r = np.asarray(rewards, dtype=np.float64)
-    p, rate = uniformize(q)
-    mean = rate * t
-    dist = stats.poisson(mean)
-    right = accrual_right_point(mean, tolerance)
-    _check_window_bound(right)
-    vec = pi0.copy()
-    total = 0.0
-    for k in range(right + 1):
-        total += float(dist.sf(k)) * float(vec @ r)
-        if k < right:
-            vec = vec @ p
-    return total / rate

@@ -29,7 +29,6 @@ from repro.ctmc.accumulated import ACCUMULATED_METHODS, accumulated_grid, accumu
 from repro.ctmc.chain import CTMC
 from repro.ctmc.steady_state import STEADY_METHODS, steady_state_reward
 from repro.ctmc.transient import (
-    TRANSIENT_GRID_METHODS,
     TRANSIENT_METHODS,
     transient_distribution,
     transient_grid,
@@ -79,18 +78,16 @@ def transient_reward_by_method(
 ) -> dict[str, float]:
     """The instant-of-time reward at ``t`` from every backend.
 
-    Scalar backends (:data:`TRANSIENT_METHODS`) and grid backends
-    (:data:`TRANSIENT_GRID_METHODS`, evaluated on a grid containing
-    ``t`` so batching effects are exercised) are all included, keyed
-    ``"scalar:<m>"`` / ``"grid:<m>"``.
+    Every method of :data:`TRANSIENT_METHODS` runs as a scalar solve
+    (key ``"scalar:<m>"``) and on a grid containing ``t`` (key
+    ``"grid:<m>"``), so batching effects are exercised.
     """
     reward = np.asarray(reward, dtype=np.float64)
+    grid = np.array([0.5 * t, t, 1.5 * t]) if t > 0 else np.array([t])
     values: dict[str, float] = {}
     for method in TRANSIENT_METHODS:
         pi = transient_distribution(chain, t, method=method)
         values[f"scalar:{method}"] = float(pi @ reward)
-    grid = np.array([0.5 * t, t, 1.5 * t]) if t > 0 else np.array([t])
-    for method in TRANSIENT_GRID_METHODS:
         rows = transient_grid(chain, grid, method=method)
         values[f"grid:{method}"] = float(rows[np.searchsorted(grid, t)] @ reward)
     return values
@@ -99,16 +96,20 @@ def transient_reward_by_method(
 def accumulated_reward_by_method(
     chain: CTMC, reward: np.ndarray, t: float
 ) -> dict[str, float]:
-    """The accumulated reward over ``[0, t]`` from every backend."""
+    """The accumulated reward over ``[0, t]`` from every backend.
+
+    Keys as in :func:`transient_reward_by_method`, over
+    :data:`ACCUMULATED_METHODS`.
+    """
     reward = np.asarray(reward, dtype=np.float64)
+    grid = np.array([0.5 * t, t]) if t > 0 else np.array([t])
     values: dict[str, float] = {}
     for method in ACCUMULATED_METHODS:
         values[f"scalar:{method}"] = float(
             accumulated_reward(chain, reward, t, method=method)
         )
-    grid = np.array([0.5 * t, t]) if t > 0 else np.array([t])
-    rows = accumulated_grid(chain, reward, grid)
-    values["grid:auto"] = float(rows[np.searchsorted(grid, t)])
+        rows = accumulated_grid(chain, reward, grid, method=method)
+        values[f"grid:{method}"] = float(rows[np.searchsorted(grid, t)])
     return values
 
 

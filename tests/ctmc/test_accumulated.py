@@ -15,7 +15,8 @@ from repro.ctmc.errors import CTMCError
 
 class TestBackends:
     @pytest.mark.parametrize(
-        "method", ["uniformization", "augmented-expm", "quadrature"]
+        "method",
+        ["uniformization", "augmented-expm", "augmented-krylov", "quadrature"],
     )
     def test_matches_closed_form(self, method):
         mu = 0.4
@@ -46,7 +47,6 @@ class TestBackends:
     def test_methods_tuple(self):
         assert set(ACCUMULATED_METHODS) == {
             "uniformization",
-            "streaming",
             "augmented-expm",
             "augmented-krylov",
             "quadrature",

@@ -5,8 +5,9 @@ must give, at every grid point, the value the scalar solver gives for
 that point alone — independent of which other points ride along in the
 grid.  These tests pin that contract with hypothesis-generated chains,
 non-uniform and duplicate-bearing grids, the spectral backend's
-agreement with dense expm, and a chain above ``DENSE_STATE_LIMIT``
-(where only the incremental uniformization pass applies).
+agreement with dense expm, a scalar call against its one-point grid
+for every backend, and a chain above ``DENSE_STATE_LIMIT`` (where only
+the sparse backends apply).
 """
 
 import numpy as np
@@ -14,13 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ctmc.accumulated import accumulated_grid, accumulated_reward
+from repro.ctmc.accumulated import (
+    ACCUMULATED_METHODS,
+    accumulated_grid,
+    accumulated_reward,
+)
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.transient import (
     DENSE_STATE_LIMIT,
     SPECTRAL_STATE_LIMIT,
-    TRANSIENT_GRID_METHODS,
+    TRANSIENT_METHODS,
     transient_distribution,
     transient_grid,
 )
@@ -107,16 +112,15 @@ class TestTransientGridMatchesScalar:
             transient_grid(chain, [])
 
     def test_methods_tuple_is_exhaustive(self):
-        assert set(TRANSIENT_GRID_METHODS) == {
-            "auto",
-            "uniformization",
-            "streaming",
-            "dense-expm",
-            "spectral",
-            "propagator",
-            "expm",
-            "krylov",
-        }
+        # Scalar and grid solves share TRANSIENT_METHODS (its contents
+        # are pinned in test_transient.py); the grid accepts every entry
+        # and rejects the retired grid-only names.
+        chain = CTMC.from_rates(2, {(0, 1): 1.0})
+        for method in TRANSIENT_METHODS:
+            assert transient_grid(chain, [1.0], method=method).shape == (1, 2)
+        for retired in ("streaming", "propagator", "expm"):
+            with pytest.raises(CTMCError, match="unknown transient method"):
+                transient_grid(chain, [1.0], method=retired)
 
 
 class TestGridIndependence:
@@ -145,6 +149,25 @@ class TestGridIndependence:
         for row, t in zip(rows, grid):
             scalar = transient_distribution(chain, float(t), method="spectral")
             np.testing.assert_array_equal(row, scalar)
+
+    @pytest.mark.parametrize("method", TRANSIENT_METHODS)
+    @given(chain=chains(), t=st.floats(0.0, 20.0))
+    @settings(max_examples=15, deadline=None)
+    def test_transient_scalar_is_one_point_grid_bitwise(self, method, chain, t):
+        scalar = transient_distribution(chain, t, method=method)
+        alone = transient_grid(chain, [t], method=method)[0]
+        np.testing.assert_array_equal(scalar, alone)
+
+    @pytest.mark.parametrize("method", ACCUMULATED_METHODS)
+    @given(chain=chains(), t=st.floats(0.0, 20.0))
+    @settings(max_examples=15, deadline=None)
+    def test_accumulated_scalar_is_one_point_grid_bitwise(
+        self, method, chain, t
+    ):
+        rewards = np.linspace(-1.0, 1.0, chain.num_states)
+        scalar = accumulated_reward(chain, rewards, t, method=method)
+        alone = accumulated_grid(chain, rewards, [t], method=method)[0]
+        assert scalar == alone
 
 
 class TestSpectralBackend:

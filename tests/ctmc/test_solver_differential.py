@@ -2,7 +2,8 @@
 
 Pits the streaming bounded-truncation uniformization path against the
 other transient backends — Krylov ``expm_multiply``, dense ``expm``,
-spectral decomposition, and the plain uniformization walk — on seeded
+spectral decomposition, and the ``method="uniformization"`` entry
+points that run it — on seeded
 randomized chains and small MDCD fleets, asserting pairwise agreement
 within the streaming path's *certified* truncation bound plus a small
 cross-backend slack.
@@ -24,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ctmc import config
 from repro.ctmc.streaming import streaming_accumulated_grid, streaming_transient_grid
 from repro.ctmc.transient import transient_distribution, transient_grid
 from tests.conftest import make_random_chain, make_random_rewards, make_small_fleet
@@ -104,7 +104,7 @@ def test_streaming_vs_backends_small_fleets(seed, heterogeneous):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_streaming_accumulated_vs_quadrature(seed):
-    """Accumulated rewards: streaming vs the plain accumulated walk.
+    """Accumulated rewards: streaming vs ``accumulated_grid``.
 
     The dense reference integrates the transient curve with fine-grained
     trapezoids — an independent discretisation, so agreement within the
@@ -189,25 +189,3 @@ def test_property_stiff_chains_near_dispatch_cutoff(seed, threshold):
         else:
             os.environ["REPRO_AUTO_STIFFNESS_THRESHOLD"] = previous
     assert np.max(np.abs(routed - reference)) < 1e-9
-
-
-@settings(max_examples=10)
-@given(seed=st.integers(min_value=0, max_value=2**16))
-def test_property_streaming_threshold_cutoff_consistent(seed):
-    """Forcing the streaming cutoff to 1 (every auto-dispatched
-    non-stiff grid takes the streaming path) changes nothing but the
-    backend label."""
-    chain = make_random_chain(num_states=5, seed=seed, rate_scale=0.5)
-    times = np.array([0.2, 0.9, 1.7])
-    reference = transient_grid(chain, times, method="uniformization")
-    previous = os.environ.get("REPRO_STREAMING_STATE_THRESHOLD")
-    try:
-        os.environ["REPRO_STREAMING_STATE_THRESHOLD"] = "1"
-        assert config.limits().streaming_state_threshold == 1
-        routed = transient_grid(chain, times, method="auto")
-    finally:
-        if previous is None:
-            del os.environ["REPRO_STREAMING_STATE_THRESHOLD"]
-        else:
-            os.environ["REPRO_STREAMING_STATE_THRESHOLD"] = previous
-    assert np.max(np.abs(routed - reference)) < 1e-10

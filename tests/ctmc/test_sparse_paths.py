@@ -15,7 +15,7 @@ Two layers of guarantees:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ctmc import config
@@ -65,6 +65,21 @@ def irreducible_chains(draw, min_states=2, max_states=8):
     return CTMC.from_rates(n, rates)
 
 
+#: A time so small the scaled Krylov operator is numerically zero (it
+#: once made scipy divide by a zero scaling count and warn).
+TINY_T = 5e-324
+
+
+def _tiny_examples(test):
+    """Pin the underflowing segment as explicit examples: one point, and
+    a uniform two-point grid (scipy's multi-endpoint path)."""
+    for rate in (1.0, 2.0):
+        chain = CTMC.from_rates(2, {(0, 1): rate})
+        test = example(chain=chain, ts=[TINY_T])(test)
+        test = example(chain=chain, ts=[TINY_T, 2 * TINY_T])(test)
+    return test
+
+
 @st.composite
 def grids(draw, max_t=15.0):
     points = draw(
@@ -81,11 +96,12 @@ class TestKrylovTransient:
     @given(chain=chains(), t=st.floats(0.01, 15.0))
     @settings(max_examples=50, deadline=None)
     def test_krylov_matches_dense_expm(self, chain, t):
-        sparse = transient_distribution(chain, t, method="expm")
+        sparse = transient_distribution(chain, t, method="krylov")
         dense = transient_distribution(chain, t, method="dense-expm")
         assert np.allclose(sparse, dense, atol=1e-8)
 
     @given(chain=chains(), ts=grids())
+    @_tiny_examples
     @settings(max_examples=50, deadline=None)
     def test_krylov_grid_matches_dense_grid(self, chain, ts):
         sparse = transient_grid(chain, ts, method="krylov")
@@ -93,6 +109,7 @@ class TestKrylovTransient:
         assert np.allclose(sparse, dense, atol=1e-8)
 
     @given(chain=chains(), ts=grids())
+    @_tiny_examples
     @settings(max_examples=30, deadline=None)
     def test_krylov_grid_rows_are_distributions(self, chain, ts):
         rows = transient_grid(chain, ts, method="krylov")
@@ -130,6 +147,7 @@ class TestAugmentedKrylovAccumulated:
         assert sparse == pytest.approx(dense, abs=1e-7, rel=1e-7)
 
     @given(chain=chains(), ts=grids())
+    @_tiny_examples
     @settings(max_examples=40, deadline=None)
     def test_grid_matches_augmented_expm_grid(self, chain, ts):
         rewards = np.linspace(0.0, 1.0, chain.num_states)
@@ -231,5 +249,5 @@ class TestPaperModelPinning:
         chain = _paper_chains()[name]
         t = 1e-3
         uni = transient_distribution(chain, t, method="uniformization")
-        krylov = transient_distribution(chain, t, method="expm")
+        krylov = transient_distribution(chain, t, method="krylov")
         assert np.allclose(krylov, uni, atol=1e-9)

@@ -22,7 +22,6 @@ from repro.ctmc.streaming import (
     streaming_transient_grid,
 )
 from repro.ctmc.transient import transient_grid
-from repro.ctmc.uniformization import transient_by_uniformization_grid
 from repro.gsu.fleet import FleetParameters, FleetSolver
 from tests.conftest import make_random_chain, make_random_rewards
 
@@ -34,14 +33,13 @@ def chain():
     return make_random_chain(num_states=8, seed=11)
 
 
-def test_matches_plain_uniformization_grid(chain):
-    plain = transient_by_uniformization_grid(
-        chain.generator, chain.initial_distribution, TIMES
-    )
+def test_uniformization_method_is_the_streaming_walk(chain):
+    # method="uniformization" runs this walk: bitwise the same rows.
+    via_method = transient_grid(chain, TIMES, method="uniformization")
     result = streaming_transient_grid(
         chain.generator, chain.initial_distribution, TIMES
     )
-    assert np.max(np.abs(result.rows - plain)) < 1e-13
+    np.testing.assert_array_equal(result.rows, via_method)
 
 
 def test_certificate_populated(chain):

@@ -14,7 +14,9 @@ from repro.ctmc.transient import (
 
 
 class TestBackendAgreement:
-    @pytest.mark.parametrize("method", ["uniformization", "expm", "dense-expm"])
+    @pytest.mark.parametrize(
+        "method", ["uniformization", "krylov", "dense-expm", "spectral"]
+    )
     def test_backends_match_closed_form(self, method):
         chain = CTMC.two_state_failure(0.3)
         pi = transient_distribution(chain, 2.0, method=method)
@@ -23,7 +25,7 @@ class TestBackendAgreement:
     def test_all_backends_agree_on_birth_death(self, birth_death_chain):
         results = {
             m: transient_distribution(birth_death_chain, 1.5, method=m)
-            for m in ("uniformization", "expm", "dense-expm")
+            for m in ("uniformization", "krylov", "dense-expm", "spectral")
         }
         base = results["uniformization"]
         for method, pi in results.items():
@@ -63,8 +65,7 @@ class TestValidation:
     def test_methods_tuple_is_exhaustive(self):
         assert set(TRANSIENT_METHODS) == {
             "uniformization",
-            "streaming",
-            "expm",
+            "krylov",
             "dense-expm",
             "spectral",
             "auto",

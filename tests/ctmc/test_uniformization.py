@@ -6,12 +6,9 @@ from scipy import stats
 
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
-from repro.ctmc.uniformization import (
-    accumulated_by_uniformization,
-    fox_glynn_weights,
-    transient_by_uniformization,
-    uniformize,
-)
+from repro.ctmc.accumulated import accumulated_grid, transient_accumulated_grid
+from repro.ctmc.transient import transient_grid
+from repro.ctmc.uniformization import fox_glynn_weights, uniformize
 
 
 class TestFoxGlynn:
@@ -72,91 +69,73 @@ class TestUniformize:
 
 
 class TestTransient:
+    """The Jensen walk through ``transient_grid(method="uniformization")``."""
+
     def test_matches_closed_form_survival(self):
         chain = CTMC.two_state_failure(0.5)
-        for t in (0.1, 1.0, 5.0):
-            pi = transient_by_uniformization(
-                chain.generator, chain.initial_distribution, t
-            )
-            assert pi[0] == pytest.approx(np.exp(-0.5 * t), rel=1e-9)
+        ts = [0.1, 1.0, 5.0]
+        rows = transient_grid(chain, ts, method="uniformization")
+        for row, t in zip(rows, ts):
+            assert row[0] == pytest.approx(np.exp(-0.5 * t), rel=1e-9)
 
     def test_time_zero_returns_initial(self, birth_death_chain):
-        pi = transient_by_uniformization(
-            birth_death_chain.generator,
-            birth_death_chain.initial_distribution,
-            0.0,
-        )
+        pi = transient_grid(birth_death_chain, [0.0], method="uniformization")[0]
         np.testing.assert_allclose(pi, birth_death_chain.initial_distribution)
 
     def test_negative_time_rejected(self, birth_death_chain):
         with pytest.raises(CTMCError):
-            transient_by_uniformization(
-                birth_death_chain.generator,
-                birth_death_chain.initial_distribution,
-                -1.0,
-            )
+            transient_grid(birth_death_chain, [-1.0], method="uniformization")
 
     def test_long_horizon_converges_to_stationary(
         self, birth_death_chain, mm13_stationary
     ):
-        pi = transient_by_uniformization(
-            birth_death_chain.generator,
-            birth_death_chain.initial_distribution,
-            200.0,
-        )
+        pi = transient_grid(
+            birth_death_chain, [200.0], method="uniformization"
+        )[0]
         np.testing.assert_allclose(pi, mm13_stationary, atol=1e-8)
 
     def test_distribution_stays_normalised(self, birth_death_chain):
-        pi = transient_by_uniformization(
-            birth_death_chain.generator,
-            birth_death_chain.initial_distribution,
-            3.7,
-        )
+        pi = transient_grid(birth_death_chain, [3.7], method="uniformization")[0]
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pi >= 0)
 
 
 class TestAccumulated:
+    """Integrated uniformization through ``accumulated_grid`` and
+    ``transient_accumulated_grid`` with ``method="uniformization"``."""
+
     def test_matches_closed_form_uptime(self):
         # E[time in up over [0, t]] = (1 - exp(-mu t)) / mu.
         mu = 0.5
         chain = CTMC.two_state_failure(mu)
         rewards = np.array([1.0, 0.0])
-        for t in (0.5, 2.0, 10.0):
-            value = accumulated_by_uniformization(
-                chain.generator, chain.initial_distribution, rewards, t
-            )
-            assert value == pytest.approx((1 - np.exp(-mu * t)) / mu, rel=1e-8)
+        ts = np.array([0.5, 2.0, 10.0])
+        values = accumulated_grid(chain, rewards, ts, method="uniformization")
+        np.testing.assert_allclose(values, (1 - np.exp(-mu * ts)) / mu, rtol=1e-8)
 
     def test_constant_reward_accumulates_time(self, birth_death_chain):
-        rewards = np.ones(4)
-        value = accumulated_by_uniformization(
-            birth_death_chain.generator,
-            birth_death_chain.initial_distribution,
-            rewards,
-            7.3,
-        )
+        value = accumulated_grid(
+            birth_death_chain, np.ones(4), [7.3], method="uniformization"
+        )[0]
         assert value == pytest.approx(7.3, rel=1e-9)
 
     def test_zero_horizon(self, birth_death_chain):
-        value = accumulated_by_uniformization(
-            birth_death_chain.generator,
-            birth_death_chain.initial_distribution,
-            np.ones(4),
-            0.0,
-        )
+        value = accumulated_grid(
+            birth_death_chain, np.ones(4), [0.0], method="uniformization"
+        )[0]
         assert value == 0.0
 
     def test_negative_rewards_supported(self):
         chain = CTMC.two_state_failure(1.0)
         rewards = np.array([0.0, -2.0])
         t = 1.0
-        value = accumulated_by_uniformization(
-            chain.generator, chain.initial_distribution, rewards, t
+        rows, values = transient_accumulated_grid(
+            chain, rewards, [t], method="uniformization"
         )
         # E[time in down] = t - (1 - e^-t); reward -2 per unit.
         expected = -2.0 * (t - (1 - np.exp(-t)))
-        assert value == pytest.approx(expected, rel=1e-8)
+        assert values[0] == pytest.approx(expected, rel=1e-8)
+        assert rows[0][0] == pytest.approx(np.exp(-t), rel=1e-9)
 
 
 class TestTruncationAccounting:
@@ -217,29 +196,19 @@ class TestTruncationAccounting:
         chain = CTMC.from_rates(3, {(0, 1): a, (1, 2): b})
         rewards = np.array([1.0, 0.0, 0.0])
         for t in (0.1, 1.0, 4.0):
-            value = accumulated_by_uniformization(
-                chain.generator,
-                chain.initial_distribution,
-                rewards,
-                t,
-                tolerance=1e-13,
-            )
+            value = accumulated_grid(
+                chain, rewards, [t], method="uniformization", tolerance=1e-13
+            )[0]
             closed = (1.0 - np.exp(-a * t)) / a
             assert value == pytest.approx(closed, abs=5e-13)
 
     def test_accumulated_grid_matches_closed_form(self):
-        from repro.ctmc.uniformization import accumulated_by_uniformization_grid
-
         a, b = 2.0, 5.0
         chain = CTMC.from_rates(3, {(0, 1): a, (1, 2): b})
         rewards = np.array([1.0, 0.0, 0.0])
         grid = np.array([0.0, 0.25, 1.5, 3.0])
-        values = accumulated_by_uniformization_grid(
-            chain.generator,
-            chain.initial_distribution,
-            rewards,
-            grid,
-            tolerance=1e-13,
+        values = accumulated_grid(
+            chain, rewards, grid, method="uniformization", tolerance=1e-13
         )
         closed = (1.0 - np.exp(-a * grid)) / a
         np.testing.assert_allclose(values, closed, atol=5e-13)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ctmc.transient import TRANSIENT_METHODS
 from repro.verify.oracles import (
     ACCUMULATED_TOLERANCE,
     STEADY_TOLERANCE,
@@ -68,11 +69,11 @@ class TestTransientOracle:
     def test_scalar_and_grid_keys_present(self):
         chain, reward = make_chain({"seed": 1, "num_states": 4, "rate_scale": 1.0})
         values = transient_reward_by_method(chain, reward, 1.0)
-        assert "scalar:uniformization" in values
-        assert "scalar:expm" in values
-        assert "scalar:spectral" in values
-        assert "grid:auto" in values
-        assert "grid:propagator" in values
+        assert set(values) == {
+            f"{form}:{method}"
+            for form in ("scalar", "grid")
+            for method in TRANSIENT_METHODS
+        }
 
 
 class TestAccumulatedOracle:
@@ -88,6 +89,7 @@ class TestAccumulatedOracle:
         chain, reward = make_chain({"seed": 2, "num_states": 4, "rate_scale": 1.0})
         values = accumulated_reward_by_method(chain, reward, 2.0)
         assert "scalar:quadrature" in values
+        assert "grid:quadrature" in values
         assert "grid:auto" in values
 
 
