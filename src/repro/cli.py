@@ -37,7 +37,7 @@ from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.plotting import ascii_curves
 from repro.analysis.sweep import run_sweep
 from repro.analysis.tables import optimum_table, sweep_table
-from repro.gsu.fleet import FLEET_MODES, FleetParameters
+from repro.gsu.fleet import FleetParameters
 from repro.gsu.hybrid import hybrid_evaluate
 from repro.gsu.measures import ConstituentSolver
 from repro.gsu.models.rm_gd import build_rm_gd
@@ -49,7 +49,12 @@ from repro.gsu.performability import evaluate_index
 from repro.gsu.validation import SCALED_VALIDATION_PARAMS, validate_constituents
 from repro.runtime.campaign import RuntimeConfig, run_campaign, use_config
 from repro.runtime.executor import BACKENDS
-from repro.runtime.spec import FIGURE_CAMPAIGNS, CampaignSpec, figure_campaign
+from repro.runtime.spec import (
+    FIGURE_CAMPAIGNS,
+    CampaignSpec,
+    default_grid,
+    figure_campaign,
+)
 from repro.san.export import graph_to_dict, model_to_dict, model_to_dot
 from repro.san.reachability import explore
 
@@ -276,13 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mu-legacy", type=float, default=None, metavar="RATE",
         help="legacy-version fault-manifestation rate per hour for the "
              "not-yet-upgraded processes (requires --upgraded)",
-    )
-    fleet.add_argument(
-        "--mode", choices=FLEET_MODES, default="auto",
-        help="state-space representation: 'lumped' is the exact "
-             "symmetry quotient (C(N+3,3) states, or the per-group "
-             "product for staged upgrades), 'flat' the full 4**N "
-             "product chain (auto = lumped)",
     )
     fleet.add_argument(
         "--json", action="store_true",
@@ -770,23 +768,18 @@ def _cmd_fleet(args) -> int:
             print(f"error: bad --phis {args.phis!r}", file=sys.stderr)
             return 2
     elif args.step is not None:
-        if args.step <= 0:
-            print(f"error: --step must be positive, got {args.step}",
-                  file=sys.stderr)
+        try:
+            phis = default_grid(params.theta, step=args.step)
+        except ValueError as exc:
+            print(f"error: bad --step: {exc}", file=sys.stderr)
             return 2
-        phis, phi = [], 0.0
-        while phi < params.theta:
-            phis.append(phi)
-            phi += args.step
-        phis.append(params.theta)
     else:
         phis = [i * params.theta / 10 for i in range(11)]
 
-    mode = "lumped" if args.mode == "auto" else args.mode
     config = _runtime_config_from(args)
     cache = config.make_cache()
     try:
-        tasks = plan_fleet_tasks(params, phis, mode=mode)
+        tasks = plan_fleet_tasks(params, phis)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -808,7 +801,7 @@ def _cmd_fleet(args) -> int:
     print(
         f"Fleet of {params.n_processes} MDCD processes, "
         f"{params.repair_servers} repair server(s){staged} "
-        f"({mode}: {states} states)"
+        f"(lumped: {states} states)"
     )
     print(f"{'phi':>10}  {'Y(phi)':>10}  {'op.time':>12}")
     for outcome in outcomes:

@@ -20,17 +20,18 @@ duration ``phi``.  A second measure, the expected cumulative
 operational fraction ``int_0^phi E[frac_op(u)] du / phi``, exercises the
 accumulated-reward solvers.
 
-Two state-space representations solve the same model:
+Both measures are symmetric in the processes, so the exact quotient
+answers them:
 
 ``lumped``
-    The exact symmetry quotient over occupancy counts —
-    ``C(N + 3, 3)`` states.  Always tractable; the default and the
-    certified reference.
+    The default and the only representation a user surface reaches:
+    the exact symmetry quotient over occupancy counts, ``C(N + 3, 3)``
+    states, or the grouped quotient (per-rate-group count vectors) for
+    a staged upgrade.
 ``flat``
     The full ``4**N``-state product chain, assembled directly in CSR.
-    This is the scale workload that stresses the sparse solver paths
-    (Krylov ``expm_multiply``, bounded-truncation uniformization); the
-    scaling benchmark measures it against the lumped reference.
+    It is the oracle that verifies the lumping, and the scale workload
+    of the sparse-solver benchmarks.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.san.symmetry import (
 )
 
 #: Supported solver representations (see module docstring).
-FLEET_MODES = ("auto", "lumped", "flat")
+FLEET_MODES = ("lumped", "flat")
 
 
 @dataclass(frozen=True)
@@ -237,42 +238,35 @@ class FleetSolver:
     """Solves fleet ``Y(phi)`` curves for one parameter set.
 
     The chain (lumped or flat, per ``mode``) is built lazily on first
-    use and reused across queries; ``mode="auto"`` selects the lumped
-    representation — the exact quotient — which is the right answer for
-    every production query.  ``mode="flat"`` exists for the scaling
-    benchmark and for validating the lumping itself.
+    use and reused across queries.  ``mode="lumped"``, the exact
+    quotient, answers every production query; ``mode="flat"`` is the
+    oracle for the lumping and the scaling benchmark's workload.
     """
 
-    def __init__(self, params: FleetParameters, mode: str = "auto"):
+    def __init__(self, params: FleetParameters, mode: str = "lumped"):
         if mode not in FLEET_MODES:
             raise ValueError(
                 f"unknown fleet mode {mode!r}; choose from {FLEET_MODES}"
             )
         self.params = params
         self.mode = mode
-        self._resolved = "lumped" if mode == "auto" else mode
         self._chain: CTMC | None = None
         self._rewards: np.ndarray | None = None
-
-    @property
-    def resolved_mode(self) -> str:
-        """The representation actually used (``auto`` resolved)."""
-        return self._resolved
 
     def chain(self) -> CTMC:
         """The (lazily built, cached) fleet CTMC.
 
-        Staged-upgrade scenarios build the heterogeneous chain: the
-        blocked flat assembly with per-process rates, or the grouped
-        partial quotient (per-rate-group count vectors) on the lumped
-        side.
+        The flat chain takes per-process rates; on the lumped side a
+        staged upgrade builds the grouped partial quotient (per-rate-group
+        count vectors).
         """
         if self._chain is None:
             p = self.params
-            if self._resolved == "flat":
-                rates = p.rates_sequence() if p.staged else p.rates()
+            if self.mode == "flat":
                 self._chain = fleet_chain(
-                    p.n_processes, rates, repair_servers=p.repair_servers
+                    p.n_processes,
+                    p.rates_sequence(),
+                    repair_servers=p.repair_servers,
                 )
             elif p.staged:
                 self._chain = fleet_grouped_lumped_chain(
@@ -289,7 +283,7 @@ class FleetSolver:
         if self._rewards is None:
             p = self.params
             n = p.n_processes
-            if self._resolved == "flat":
+            if self.mode == "flat":
                 digits = fleet_digits(n)
                 self._rewards = (
                     (digits != FLEET_FAILED).sum(axis=1).astype(np.float64)

@@ -21,7 +21,6 @@ as part of the framework.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -239,11 +238,10 @@ def replicate(
 #
 # The flat product space has ``4**n`` states, so the generator is
 # assembled *directly in CSR* from base-4 digit arrays — no marking BFS,
-# no Python per-state loops, no dense round-trips.  The sparsity pattern
-# depends only on ``(n, repair_servers)``; rates enter as a four-vector
-# stamped over cached per-entry (class, multiplier) annotations, giving
-# fleet sweeps the same compile-once/re-stamp economics as the
-# parametric SAN templates.
+# no Python per-state loops, no dense round-trips — by one row-blocked
+# pass (:func:`fleet_generator_blocked`).  The flat chain is the oracle
+# that verifies the exact quotients of :mod:`repro.san.symmetry`, which
+# answer every served fleet query.
 
 #: Per-process local states of the fleet member chain.
 FLEET_OK = 0  #: operating normally
@@ -305,48 +303,6 @@ class FleetRates:
         )
 
 
-@dataclass(frozen=True)
-class _FleetPattern:
-    """Cached CSR skeleton of the flat fleet generator.
-
-    ``indices``/``indptr`` define the full pattern including a diagonal
-    entry for every state with outgoing transitions.  Off-diagonal data
-    slots are annotated with a transition class and a rate multiplier;
-    stamping a rate vector fills the data array and recomputes the
-    diagonal, reusing the structure arrays across parameter points.
-    """
-
-    n: int
-    repair_servers: int
-    num_states: int
-    indices: np.ndarray
-    indptr: np.ndarray
-    off_rows: np.ndarray
-    off_positions: np.ndarray
-    off_class: np.ndarray
-    off_multiplier: np.ndarray
-    diag_rows: np.ndarray
-    diag_positions: np.ndarray
-
-    def stamp(self, rates: FleetRates) -> sp.csr_matrix:
-        """Assemble the generator for ``rates`` on the cached pattern."""
-        off_data = self.off_multiplier * rates.as_array()[self.off_class]
-        data = np.zeros(self.indices.size)
-        data[self.off_positions] = off_data
-        exits = np.bincount(
-            self.off_rows, weights=off_data, minlength=self.num_states
-        )
-        data[self.diag_positions] = -exits[self.diag_rows]
-        return sp.csr_matrix(
-            (data, self.indices, self.indptr),
-            shape=(self.num_states, self.num_states),
-        )
-
-
-_FLEET_PATTERN_CACHE: dict[tuple[int, int], _FleetPattern] = {}
-_FLEET_PATTERN_LOCK = threading.Lock()
-
-
 def fleet_digits(n: int) -> np.ndarray:
     """Per-process local states of every flat fleet state.
 
@@ -363,97 +319,6 @@ def fleet_digits(n: int) -> np.ndarray:
         digits[:, j] = (idx >> (2 * j)) & 3
     return digits
 
-
-def fleet_pattern(n: int, repair_servers: int) -> _FleetPattern:
-    """The (cached) CSR skeleton for an ``n``-process fleet.
-
-    Vectorised assembly: for each process and transition class, a boolean
-    mask over the digit array selects source states, and the destination
-    index is a constant stride away (``(dst - src) * 4**j``).  The
-    repair class's multiplier encodes the shared-server coupling
-    ``min(n_detected, servers) / n_detected`` per source state.
-    """
-    if repair_servers < 1:
-        raise ModelStructureError(
-            f"repair_servers must be >= 1, got {repair_servers}"
-        )
-    key = (n, repair_servers)
-    with _FLEET_PATTERN_LOCK:
-        cached = _FLEET_PATTERN_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    digits = fleet_digits(n)
-    num_states = digits.shape[0]
-    idx = np.arange(num_states, dtype=np.int64)
-    n_detected = (digits == FLEET_DETECTED).sum(axis=1).astype(np.float64)
-
-    rows_parts, cols_parts, class_parts, mult_parts = [], [], [], []
-    for j in range(n):
-        stride = FLEET_LOCAL_STATES**j
-        col_j = digits[:, j]
-        for cls, (src, dst) in enumerate(_FLEET_CLASS_MOVES):
-            mask = col_j == src
-            srcs = idx[mask]
-            if srcs.size == 0:
-                continue
-            rows_parts.append(srcs)
-            cols_parts.append(srcs + (dst - src) * stride)
-            class_parts.append(
-                np.full(srcs.size, cls, dtype=np.uint8)
-            )
-            if cls == _FLEET_REPAIR_CLASS:
-                det = n_detected[srcs]
-                mult_parts.append(
-                    np.minimum(det, float(repair_servers)) / det
-                )
-            else:
-                mult_parts.append(np.ones(srcs.size))
-
-    off_rows = np.concatenate(rows_parts)
-    off_cols = np.concatenate(cols_parts)
-    off_class = np.concatenate(class_parts)
-    off_mult = np.concatenate(mult_parts)
-
-    # Diagonal entry for every state with at least one outgoing
-    # transition (explicit zeros are harmless if a class rate is 0).
-    has_exit = np.zeros(num_states, dtype=bool)
-    has_exit[off_rows] = True
-    diag_states = idx[has_exit]
-
-    all_rows = np.concatenate([off_rows, diag_states])
-    all_cols = np.concatenate([off_cols, diag_states])
-    order = np.lexsort((all_cols, all_rows))
-    indptr = np.zeros(num_states + 1, dtype=np.intp)
-    np.cumsum(
-        np.bincount(all_rows, minlength=num_states), out=indptr[1:]
-    )
-    indices = all_cols[order].astype(np.int32, copy=False)
-    # Where each original triplet landed in the sorted data array.
-    landing = np.empty(order.size, dtype=np.int64)
-    landing[order] = np.arange(order.size)
-    pattern = _FleetPattern(
-        n=n,
-        repair_servers=repair_servers,
-        num_states=num_states,
-        indices=indices,
-        indptr=indptr,
-        off_rows=off_rows,
-        off_positions=landing[: off_rows.size],
-        off_class=off_class,
-        off_multiplier=off_mult,
-        diag_rows=diag_states,
-        diag_positions=landing[off_rows.size :],
-    )
-    with _FLEET_PATTERN_LOCK:
-        return _FLEET_PATTERN_CACHE.setdefault(key, pattern)
-
-
-#: Flat state count above which :func:`fleet_chain` assembles in row
-#: blocks instead of stamping the cached whole-space pattern.  The
-#: pattern path materialises the full triplet arrays plus a global
-#: lexsort — fine to ~2.6e5 states, prohibitive at the 1e6–1e7 tier.
-FLEET_PATTERN_STATE_LIMIT = 4**9
 
 #: Default row-block size of the blocked assembly (states per block).
 #: Peak transient memory is ``O(block * n)`` triplets regardless of the
@@ -475,6 +340,8 @@ def fleet_rate_matrix(rates, n: int) -> np.ndarray:
     where e.g. already-upgraded processes carry the new version's
     fault-manifestation rate and the rest the old one.
     """
+    if n < 1:
+        raise ModelStructureError(f"fleet size must be >= 1, got {n}")
     if isinstance(rates, FleetRates):
         return np.tile(rates.as_array(), (n, 1))
     rates = tuple(rates)
@@ -502,8 +369,7 @@ def _fleet_block_entries(
     masks, and the shared-repair coupling all touch ``stop - start``
     rows, never the full space.  Diagonal entries are included for every
     state with at least one out-move; within each row, entries are in
-    ascending column order (the canonical CSR layout the pattern path
-    also produces).
+    ascending column order (canonical CSR layout).
     """
     idx = np.arange(start, stop, dtype=np.int64)
     digits = np.empty((idx.size, n), dtype=np.uint8)
@@ -522,9 +388,8 @@ def _fleet_block_entries(
                 continue
             if cls == _FLEET_REPAIR_CLASS:
                 det = n_detected[mask]
-                # multiplier-first, matching the pattern path's
-                # ``off_multiplier * rate`` so both assemblies agree
-                # bitwise, not just to rounding.
+                # Multiplier first: another evaluation order changes
+                # the last bits of the pinned flat-oracle answers.
                 values = (
                     np.minimum(det, float(repair_servers))
                     / det
@@ -565,8 +430,8 @@ def fleet_generator_blocked(
     final ``indices``/``data``/``indptr`` arrays; a second pass fills
     them block by block.  No whole-space triplet arrays, no global
     lexsort — transient memory is bounded by ``block_states`` rows, so
-    this is the assembly path for the 1e6–1e7-state tier (and the only
-    one supporting heterogeneous per-process rates).
+    the same code assembles a 16-state oracle and the 1e6–1e7-state
+    tier, with homogeneous or per-process rates alike.
     """
     rate_matrix = np.asarray(rate_matrix, dtype=np.float64)
     if rate_matrix.ndim != 2 or rate_matrix.shape[1] != FLEET_LOCAL_STATES:
@@ -624,64 +489,21 @@ def fleet_generator_blocked(
     )
 
 
-def fleet_chain(
-    n: int,
-    rates,
-    repair_servers: int = 1,
-    assembly: str = "auto",
-    block_states: int | None = None,
-) -> CTMC:
+def fleet_chain(n: int, rates, repair_servers: int = 1) -> CTMC:
     """The flat ``4**n``-state CTMC of an ``n``-process MDCD fleet.
 
     All processes start in the ``ok`` state.  ``rates`` is one
     :class:`FleetRates` (homogeneous fleet) or a sequence of ``n`` —
     the multi-upgrade scenario form, where per-process rates differ
-    (staged upgrades, heterogeneous fault exposure).
-
-    ``assembly`` picks the construction path:
-
-    ``"pattern"``
-        Stamp the cached whole-space CSR skeleton — compile-once /
-        re-stamp economics for parameter sweeps.  Homogeneous rates
-        only; state count bounded by the global-lexsort footprint.
-    ``"blocked"``
-        Row-block assembly (:func:`fleet_generator_blocked`) — bounded
-        transient memory, heterogeneous rates supported.
-    ``"auto"``
-        Pattern for homogeneous fleets up to
-        ``FLEET_PATTERN_STATE_LIMIT`` states, blocked beyond it and for
-        every heterogeneous fleet.
+    (staged upgrades, heterogeneous fault exposure).  The generator
+    comes from :func:`fleet_generator_blocked`.
 
     Unlabelled — flat states are addressed positionally via
     :func:`fleet_digits`.
     """
-    if assembly not in ("auto", "pattern", "blocked"):
-        raise ModelStructureError(
-            f"unknown assembly {assembly!r}; choose auto, pattern or blocked"
-        )
-    homogeneous = isinstance(rates, FleetRates)
-    if assembly == "pattern" and not homogeneous:
-        raise ModelStructureError(
-            "pattern assembly requires homogeneous rates; use "
-            "assembly='blocked' for per-process rates"
-        )
-    if assembly == "auto":
-        use_pattern = (
-            homogeneous and FLEET_LOCAL_STATES**n <= FLEET_PATTERN_STATE_LIMIT
-        )
-    else:
-        use_pattern = assembly == "pattern"
-    if use_pattern:
-        pattern = fleet_pattern(n, repair_servers)
-        q = pattern.stamp(rates)
-        num_states = pattern.num_states
-    else:
-        q = fleet_generator_blocked(
-            fleet_rate_matrix(rates, n),
-            repair_servers=repair_servers,
-            block_states=block_states,
-        )
-        num_states = q.shape[0]
-    initial = np.zeros(num_states)
+    q = fleet_generator_blocked(
+        fleet_rate_matrix(rates, n), repair_servers=repair_servers
+    )
+    initial = np.zeros(q.shape[0])
     initial[0] = 1.0  # every process in FLEET_OK
     return CTMC(q, initial=initial)

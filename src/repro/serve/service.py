@@ -31,8 +31,8 @@ One :class:`PerformabilityService` owns the whole request path:
    dispatch counters (dense vs sparse vs uniformization).
 
 ``POST /fleet`` answers fleet ``Y(phi)`` queries (N replicated MDCD
-processes with shared repair, lumped or flat representation) through
-the same tiered cache under the ``fleet.Y`` measure namespace.
+processes with shared repair, solved exactly on the lumped quotient)
+through the same tiered cache under the ``fleet.Y`` measure namespace.
 
 ``POST /synthesize`` runs the joint lever optimization of
 :mod:`repro.synth` on a dedicated driver thread; every design point it
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.ctmc.config import dispatch_counts
-from repro.gsu.fleet import FLEET_MODES, FleetParameters
+from repro.gsu.fleet import FleetParameters
 from repro.gsu.measures import ConstituentSolver
 from repro.gsu.optimizer import refine_optimum
 from repro.gsu.parameters import PAPER_TABLE3, GSUParameters
@@ -102,11 +102,6 @@ MAX_GRID_POINTS = 4096
 
 #: Seconds allowed for reading one request off the socket.
 READ_TIMEOUT = 30.0
-
-#: Largest flat fleet state space a single HTTP request may solve
-#: (``4**9`` — the scaling benchmark's tier).  Bigger fleets must use
-#: the lumped representation, which answers the same measures exactly.
-MAX_FLEET_FLAT_STATES = 4**9
 
 #: Bounds on one synthesis request's search effort: the driver is
 #: sequential, so a runaway request would monopolise the synth thread.
@@ -295,8 +290,11 @@ class PerformabilityService:
             raise HttpError(400, f"invalid parameters: {exc}") from exc
 
     @staticmethod
-    def _parse_phis(body: dict, params: GSUParameters) -> list[float]:
-        """The request's ``phi`` grid: explicit list or ``step`` spacing."""
+    def _parse_phis(
+        body: dict, params: GSUParameters | FleetParameters
+    ) -> list[float]:
+        """The request's ``phi`` grid: explicit list or ``step`` spacing,
+        validated against ``[0, theta]``."""
         phis = body.get("phis")
         step = body.get("step")
         if phis is not None and step is not None:
@@ -366,35 +364,6 @@ class PerformabilityService:
             return FleetParameters(**values)
         except (TypeError, ValueError) as exc:
             raise HttpError(400, f"invalid fleet parameters: {exc}") from exc
-
-    @staticmethod
-    def _parse_fleet_phis(body: dict, params: FleetParameters) -> list[float]:
-        """The request's ``phi`` grid, validated against ``[0, theta]``."""
-        phis = body.get("phis")
-        step = body.get("step")
-        if phis is not None and step is not None:
-            raise HttpError(400, "give either 'phis' or 'step', not both")
-        if phis is None:
-            try:
-                grid_step = float(step) if step is not None else 1000.0
-                grid = default_grid(params.theta, step=grid_step)
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid step: {exc}") from exc
-        else:
-            if not isinstance(phis, list) or not phis:
-                raise HttpError(400, "'phis' must be a non-empty array")
-            grid = phis
-        if len(grid) > MAX_GRID_POINTS:
-            raise HttpError(
-                400, f"grid of {len(grid)} points exceeds {MAX_GRID_POINTS}"
-            )
-        validated = []
-        for phi in grid:
-            try:
-                validated.append(params.validate_phi(float(phi)))
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid phi: {exc}") from exc
-        return validated
 
     # ------------------------------------------------------------------
     # Endpoint handlers
@@ -524,21 +493,15 @@ class PerformabilityService:
         runs on the worker pool; the event loop stays free.
         """
         params = self._parse_fleet_params(body)
-        mode = body.get("mode", "auto")
-        if mode not in FLEET_MODES:
-            raise HttpError(
-                400, f"unknown mode {mode!r}; choose from {list(FLEET_MODES)}"
-            )
-        resolved = "lumped" if mode == "auto" else mode
-        if resolved == "flat" and params.flat_states > MAX_FLEET_FLAT_STATES:
+        mode = body.get("mode", "lumped")
+        if mode != "lumped":
             raise HttpError(
                 400,
-                f"flat fleet of {params.flat_states} states exceeds the "
-                f"per-request bound of {MAX_FLEET_FLAT_STATES}; use "
-                f"mode='lumped' ({params.lumped_states} states, exact)",
+                f"unsupported mode {mode!r}: fleet queries are answered "
+                f"exactly on the lumped quotient (mode 'lumped')",
             )
-        phis = self._parse_fleet_phis(body, params)
-        tasks = plan_fleet_tasks(params, phis, mode=resolved)
+        phis = self._parse_phis(body, params)
+        tasks = plan_fleet_tasks(params, phis)
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         outcomes = await loop.run_in_executor(
@@ -552,7 +515,7 @@ class PerformabilityService:
             sources[source] = sources.get(source, 0) + 1
         return {
             "fleet": params.to_dict(),
-            "mode": resolved,
+            "mode": "lumped",
             "states": outcomes[0].record["states"] if outcomes else 0,
             "points": [
                 {
@@ -896,7 +859,10 @@ class PerformabilityService:
         """Begin graceful shutdown (thread-safe)."""
         if self._loop is None:
             return
-        self._loop.call_soon_threadsafe(self._stop.set)
+        try:
+            self._loop.call_soon_threadsafe(self._stop.set)
+        except RuntimeError:
+            pass  # the loop has already closed: the server is stopped
 
     async def serve(self, on_ready=None) -> None:
         """Run the server until :meth:`request_stop` (or SIGTERM/SIGINT).

@@ -79,15 +79,16 @@ class TestFleetParameters:
 
 
 class TestFleetSolver:
-    def test_auto_resolves_to_lumped(self):
+    def test_default_mode_is_lumped(self):
         solver = FleetSolver(FleetParameters(n_processes=3))
-        assert solver.resolved_mode == "lumped"
+        assert solver.mode == "lumped"
         assert solver.chain().num_states == 20
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            FleetSolver(FleetParameters(), mode="dense")
-        assert "auto" in FLEET_MODES
+        assert FLEET_MODES == ("lumped", "flat")
+        for mode in ("dense", "auto"):
+            with pytest.raises(ValueError, match="mode"):
+                FleetSolver(FleetParameters(), mode=mode)
 
     def test_curve_starts_at_one_and_decreases(self):
         solver = FleetSolver(FleetParameters(n_processes=4))

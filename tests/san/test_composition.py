@@ -14,7 +14,6 @@ from repro.san.composition import (
     FleetRates,
     fleet_chain,
     fleet_digits,
-    fleet_pattern,
     join,
     replicate,
 )
@@ -180,22 +179,44 @@ class TestFleetChain:
         np.fill_diagonal(expected, -expected.sum(axis=1))
         assert np.allclose(q, expected)
 
-    def test_two_process_generator_matches_brute_force(self):
-        rates = FleetRates(contaminate=0.3, detect=1.1, fail=0.2, repair=1.7)
-        servers = 1
-        chain = fleet_chain(2, rates, repair_servers=servers)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("servers", [1, 2])
+    @pytest.mark.parametrize(
+        "heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"]
+    )
+    def test_generator_matches_brute_force(self, n, servers, heterogeneous):
+        # The local chain, applied process by process with the shared
+        # repair throttle, is the definition the vectorised assembly
+        # must reproduce.
+        base = FleetRates(contaminate=0.3, detect=1.1, fail=0.2, repair=1.7)
+        if heterogeneous:
+            rates = [
+                FleetRates(
+                    contaminate=0.3 + 0.25 * j,
+                    detect=1.1 - 0.2 * j,
+                    fail=0.2 * (j % 2),
+                    repair=1.7 + 0.5 * j,
+                )
+                for j in range(n)
+            ]
+        else:
+            rates = [base] * n
+        chain = fleet_chain(
+            n, rates if heterogeneous else base, repair_servers=servers
+        )
         q = chain.generator.toarray()
-        moves = {
-            (FLEET_OK, FLEET_CONTAMINATED): rates.contaminate,
-            (FLEET_CONTAMINATED, FLEET_DETECTED): rates.detect,
-            (FLEET_CONTAMINATED, FLEET_FAILED): rates.fail,
-            (FLEET_DETECTED, FLEET_OK): rates.repair,
-        }
-        expected = np.zeros((16, 16))
-        for src in range(16):
-            local = [src % 4, src // 4]
+        size = 4**n
+        expected = np.zeros((size, size))
+        for src in range(size):
+            local = [(src >> (2 * j)) & 3 for j in range(n)]
             n_det = local.count(FLEET_DETECTED)
-            for j in range(2):
+            for j in range(n):
+                moves = {
+                    (FLEET_OK, FLEET_CONTAMINATED): rates[j].contaminate,
+                    (FLEET_CONTAMINATED, FLEET_DETECTED): rates[j].detect,
+                    (FLEET_CONTAMINATED, FLEET_FAILED): rates[j].fail,
+                    (FLEET_DETECTED, FLEET_OK): rates[j].repair,
+                }
                 for (a, b), rate in moves.items():
                     if local[j] != a:
                         continue
@@ -203,10 +224,10 @@ class TestFleetChain:
                         rate *= min(n_det, servers) / n_det
                     dst_local = list(local)
                     dst_local[j] = b
-                    dst = dst_local[0] + 4 * dst_local[1]
+                    dst = sum(d << (2 * k) for k, d in enumerate(dst_local))
                     expected[src, dst] += rate
         np.fill_diagonal(expected, -expected.sum(axis=1))
-        assert np.allclose(q, expected)
+        assert np.allclose(q, expected, rtol=1e-14, atol=0.0)
 
     def test_shared_repair_throttles_rate(self):
         rates = FleetRates(contaminate=0.0, detect=0.0, fail=0.0, repair=3.0)
@@ -239,24 +260,6 @@ class TestFleetChain:
         q = chain.generator.toarray()
         all_failed = FLEET_FAILED + 4 * FLEET_FAILED
         assert np.all(q[all_failed] == 0.0)
-
-    def test_pattern_cached_and_restamped(self):
-        first = fleet_pattern(3, 1)
-        second = fleet_pattern(3, 1)
-        assert first is second
-        rates_a = FleetRates(
-            contaminate=0.1, detect=1.0, fail=0.2, repair=1.0
-        )
-        rates_b = FleetRates(
-            contaminate=0.7, detect=0.3, fail=0.9, repair=2.5
-        )
-        qa = fleet_chain(3, rates_a).generator.toarray()
-        qb = fleet_chain(3, rates_b).generator.toarray()
-        assert not np.allclose(qa, qb)
-        # Re-stamping with the first rates reproduces the first chain.
-        assert np.array_equal(
-            fleet_chain(3, rates_a).generator.toarray(), qa
-        )
 
     def test_fleet_chain_is_sparse_csr(self):
         rates = FleetRates(contaminate=0.1, detect=1.0, fail=0.2, repair=1.0)

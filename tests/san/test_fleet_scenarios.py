@@ -1,11 +1,10 @@
 """Heterogeneous / staged-upgrade fleet composition and partial lumping.
 
 Covers the multi-upgrade scenario surface end to end: the blocked CSR
-assembly (bitwise-identical to the cached-pattern path where both
-apply), per-process rates, the grouped partial quotient — verified
-against the flat chain — and the guarantee that asymmetric rates
-*refuse* the full count-vector lumping instead of silently producing
-wrong numbers.
+assembly (invariant under the block size), per-process rates, the
+grouped partial quotient — verified against the flat chain — and the
+guarantee that asymmetric rates *refuse* the full count-vector lumping
+instead of silently producing wrong numbers.
 """
 
 from __future__ import annotations
@@ -56,16 +55,6 @@ def _csr_equal(a, b) -> bool:
 
 
 class TestBlockedAssembly:
-    @pytest.mark.parametrize("n,servers", [(1, 1), (3, 2), (5, 3), (6, 1)])
-    def test_bitwise_identical_to_pattern_path(self, n, servers):
-        pattern = fleet_chain(
-            n, NEW, repair_servers=servers, assembly="pattern"
-        ).generator
-        blocked = fleet_chain(
-            n, NEW, repair_servers=servers, assembly="blocked"
-        ).generator
-        assert _csr_equal(pattern, blocked)
-
     @pytest.mark.parametrize("block_states", [1, 3, 17, 64])
     def test_block_size_never_changes_the_matrix(self, block_states):
         whole = fleet_generator_blocked(fleet_rate_matrix(NEW, 3), 2)
@@ -96,17 +85,14 @@ class TestBlockedAssembly:
         assert q[0, 1] == pytest.approx(NEW.contaminate)
         assert q[0, 4] == pytest.approx(OLD.contaminate)
 
-    def test_pattern_assembly_rejects_heterogeneous_rates(self):
-        with pytest.raises(ModelStructureError, match="pattern"):
-            fleet_chain(2, [NEW, OLD], assembly="pattern")
-
     def test_rate_matrix_validation(self):
         with pytest.raises(ModelStructureError, match="one FleetRates"):
             fleet_rate_matrix([NEW], 2)
         with pytest.raises(ModelStructureError, match="FleetRates"):
             fleet_rate_matrix([NEW, (1, 2, 3, 4)], 2)
-        with pytest.raises(ModelStructureError, match="unknown assembly"):
-            fleet_chain(2, NEW, assembly="bogus")
+        for n in (0, -1):
+            with pytest.raises(ModelStructureError, match="fleet size"):
+                fleet_chain(n, NEW)
 
 
 class TestGroupedQuotient:

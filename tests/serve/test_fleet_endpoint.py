@@ -5,7 +5,7 @@ import pytest
 from repro.ctmc.config import dispatch_counts
 from repro.gsu.fleet import FleetParameters, FleetSolver
 from repro.serve.loadgen import request_once
-from repro.serve.service import MAX_FLEET_FLAT_STATES, ServeConfig
+from repro.serve.service import ServeConfig
 
 FLEET = {"n_processes": 3}
 PHIS = [0.0, 500.0, 2000.0]
@@ -58,23 +58,15 @@ class TestFleetEndpoint:
         assert phis[-1] == FleetParameters(n_processes=3).theta
         assert len(phis) == 11
 
-    def test_flat_mode_answers_and_reports_states(self, server):
+    def test_flat_mode_rejected(self, server):
+        # Both served measures are symmetric in the processes, so the
+        # exact quotient answers them; the flat chain is not served.
         status, _, payload = post_fleet(
             server,
             {"fleet": {"n_processes": 2}, "phis": [100.0], "mode": "flat"},
         )
-        assert status == 200
-        assert payload["mode"] == "flat"
-        assert payload["states"] == 16
-
-    def test_oversized_flat_fleet_rejected(self, server):
-        status, _, payload = post_fleet(
-            server,
-            {"fleet": {"n_processes": 12}, "phis": [1.0], "mode": "flat"},
-        )
         assert status == 400
-        assert str(MAX_FLEET_FLAT_STATES) in payload["error"]
-        assert "lumped" in payload["error"]
+        assert "lumped quotient" in payload["error"]
 
     def test_unknown_field_rejected(self, server):
         status, _, payload = post_fleet(

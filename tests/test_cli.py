@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.spec import default_grid
 
 
 class TestParser:
@@ -348,3 +349,24 @@ class TestServeCli:
                 ["serve", "--cache-dir", str(tmp_path / "a" / "b" / "c")]
             )
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestFleetCli:
+    def test_step_grid_is_the_shared_default_grid(self, capsys):
+        # The CLI and POST /fleet build a --step grid the same way, so
+        # they agree on the phis and share cache entries.
+        argv = [
+            "fleet", "--processes", "2", "--theta", "1", "--step", "0.1",
+            "--json", "--no-cache",
+        ]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["phi"] for r in records] == default_grid(1.0, step=0.1)
+
+    def test_non_positive_step_rejected(self, capsys):
+        assert main(["fleet", "--processes", "2", "--step", "0"]) == 2
+        assert "step must be positive" in capsys.readouterr().err
+
+    def test_mode_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fleet", "--mode", "flat"])
