@@ -14,13 +14,16 @@ pass; :func:`accumulated_grid` returns its second half and the scalar
   walk (:mod:`repro.ctmc.streaming`); cost linear in ``Lambda * t``.
 * ``"augmented-expm"`` — the augmented-generator trick: with
   ``A = [[Q, r], [0, 0]]`` the last component of ``[pi(0), 0] expm(A t)``
-  is exactly ``int_0^t pi(u) r du``.  One dense matrix exponential per
-  point, stiffness-independent — required for the paper's 1e4-hour
+  is exactly ``int_0^t pi(u) r du``.  The exponentials come from one
+  chain of squarings of ``A`` shared across the grid, as for
+  ``dense-expm`` (:func:`repro.ctmc.transient._expm_rows`), so the
+  cost barely depends on stiffness — required for the paper's 1e4-hour
   horizons.
 * ``"augmented-krylov"`` — the same augmented-generator trick kept
   sparse: segment-stepped Krylov actions (``expm_multiply``) of the CSR
-  augmented matrix.  Stiffness-independent with ``O(nnz)`` memory — the
-  large-chain workhorse above ``DENSE_STATE_LIMIT``.
+  augmented matrix.  ``O(nnz)`` memory — the large-chain workhorse
+  above ``DENSE_STATE_LIMIT`` — but its cost grows linearly with
+  ``||Q|| t`` (Al-Mohy & Higham, 2011).
 * ``"quadrature"`` — adaptive quadrature over the transient solution
   (slow; a reference path for cross-validation only, not available to
   the fused solver).
@@ -34,7 +37,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.linalg import expm as dense_expm
 
 from repro.ctmc import config
 from repro.ctmc.chain import CTMC
@@ -45,6 +47,7 @@ from repro.ctmc.transient import (
     _check_dense,
     _check_method,
     _choose,
+    _expm_rows,
     _krylov_step,
     _renormalise,
     transient_distribution,
@@ -173,16 +176,17 @@ def transient_accumulated_grid(
 
     * ``"augmented-expm"`` — the augmented generator
       ``A = [[Q, r], [0, 0]]`` is block upper-triangular, so
-      ``expm(A t)`` embeds ``expm(Q t)`` as its leading block; one dense
-      exponential per unique point yields the distribution row and the
-      integral together.
+      ``expm(A t)`` embeds ``expm(Q t)`` as its leading block; one
+      chain of squarings of ``A`` serves every unique point, and each
+      row yields the distribution and the integral together.
     * ``"augmented-krylov"`` — the sparse augmented state
       ``(pi(t), y(t))`` stepped segment to segment.
     * ``"uniformization"`` — the streaming walk; one k-walk per segment
       serves both the distribution and the integral.
 
     This is the solver behind the GSU batch path, where the same
-    ``RMGd`` grid serves three instant measures plus the accumulated one.
+    ``RMGd`` grid serves three instant measures plus the accumulated
+    one, and behind the fleet measures, one call per curve.
     """
     grid = _validate_time_grid(times)
     _check_method(
@@ -213,7 +217,8 @@ def transient_accumulated_grid(
 def _augmented_expm_grid(
     chain: CTMC, rewards: np.ndarray, unique: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One dense exponential of ``[[Q, r], [0, 0]]`` per unique time.
+    """``[pi(0), 0] expm(A t)`` with ``A = [[Q, r], [0, 0]]`` per unique
+    time, from one shared chain of squarings of ``A``.
 
     The augmented system evolves ``(pi(t), y(t))`` with
     ``y'(t) = pi(t) . r``, so ``y(t)`` is exactly the accumulated reward.
@@ -226,17 +231,11 @@ def _augmented_expm_grid(
     a[:n, n] = rewards
     state = np.zeros(n + 1)
     state[:n] = chain.initial_distribution
-    rows = np.empty((unique.size, n))
-    acc = np.empty(unique.size)
-    for k, t in enumerate(unique):
-        if t == 0.0:
-            rows[k] = state[:n]
-            acc[k] = 0.0
-            continue
-        result = state @ dense_expm(a * float(t))
-        acc[k] = result[n]
-        rows[k] = _renormalise(result[:n])
-    return rows, acc
+    result = _expm_rows(a, state, unique)
+    rows = result[:, :n].copy()
+    for k in np.flatnonzero(unique > 0.0):
+        rows[k] = _renormalise(rows[k])
+    return rows, result[:, n].copy()
 
 
 def _augmented_krylov_grid(

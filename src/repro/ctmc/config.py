@@ -9,9 +9,12 @@ one documented place, instead of being scattered across
     stiff and abandons uniformization for a matrix-exponential backend.
 ``DENSE_STATE_LIMIT``
     Largest chain the dense backends (``dense-expm``, spectral
-    fallback, augmented dense exponentials) will densify.  Above it the
-    solvers stay sparse end-to-end — no path may call ``.toarray()`` on
-    a generator beyond this limit.
+    fallback, ``augmented-expm``) will densify.  The two matrix
+    exponential backends square one dense ``n x n`` power at a time,
+    the chain of squarings shared by every point of a grid, so their
+    working set is a few ``n x n`` matrices whatever the grid.  Above
+    the limit the solvers stay sparse end-to-end — no path may call
+    ``.toarray()`` on a generator beyond this limit.
 ``SPECTRAL_STATE_LIMIT`` / ``SPECTRAL_CONDITION_LIMIT``
     Eigendecomposition backend bounds (tiny chains only).
 ``DIRECT_STEADY_LIMIT``
@@ -21,8 +24,8 @@ one documented place, instead of being scattered across
 ``MAX_UNIFORMIZATION_TERMS``
     Bounded truncation: the largest Fox–Glynn window (matrix-vector
     products per segment) uniformization will walk before raising.
-    ``auto`` dispatch routes such problems to the sparse Krylov backend
-    instead of silently burning hours of matvecs.
+    ``auto`` dispatch routes such problems to a matrix-exponential
+    backend instead of silently burning hours of matvecs.
 ``LUMP_LOOP_LIMIT``
     Largest chain :func:`repro.ctmc.lumping.lump` processes with the
     per-state reference loop; larger chains use the vectorised sparse

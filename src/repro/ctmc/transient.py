@@ -13,19 +13,26 @@ construction.  Four backends:
   window is bounded by ``MAX_UNIFORMIZATION_TERMS`` so a stiff problem
   fails fast instead of walking millions of matvecs.
 * ``"spectral"`` — one eigendecomposition of ``Q``, then each time is an
-  independent ``O(n^2)`` evaluation.  Stiffness-independent and far
-  cheaper than repeated Padé exponentials on tiny chains; limited to
-  ``SPECTRAL_STATE_LIMIT`` states and falls back to dense expm on
-  defective or ill-conditioned generators.
-* ``"dense-expm"`` — dense Padé + scaling-and-squaring
-  (``scipy.linalg.expm``), one independent exponential per time.  Cost
-  is ``O(n^3 log(Lambda t))`` — essentially independent of stiffness,
-  which matters for the paper's models where message rates (1200/h) and
-  fault rates (1e-4/h) differ by seven orders of magnitude over
-  1e4-hour horizons.  Limited to ``DENSE_STATE_LIMIT`` states.
+  independent ``O(n^2)`` evaluation.  Stiffness-independent and cheap
+  on tiny chains; limited to ``SPECTRAL_STATE_LIMIT`` states and falls
+  back to dense expm on defective or ill-conditioned generators.
+* ``"dense-expm"`` — scaling and squaring with the squarings shared
+  across the grid (:func:`_expm_rows`): one Padé exponential
+  ``P_0 = expm(Q h)`` with ``||Q h||_1`` within the Padé-13 bound, then
+  one chain of squarings ``P_{j+1} = P_j^2`` for the whole grid.  Each
+  time splits exactly as ``t = k h + rem``; its row multiplies ``pi0``
+  by the powers for the set bits of ``k`` and finishes with one
+  unsquared ``expm(Q rem)``.  Cost is ``O(n^3 log(Lambda t))`` for the
+  chain plus ``O(n^2)`` per point and set bit (and one ``O(n^3)``
+  Padé per non-dyadic point), essentially independent of stiffness,
+  which matters for the paper's models where message rates (1200/h)
+  and fault rates (1e-4/h) differ by seven orders of magnitude over
+  1e4-hour horizons.  Only one power is held at a time.  Limited to
+  ``DENSE_STATE_LIMIT`` states.
 * ``"krylov"`` — segment-stepped Krylov actions of the matrix
-  exponential (``scipy.sparse.linalg.expm_multiply``).  Sparse and
-  stiffness-tolerant; the backend for chains too large to densify.
+  exponential (``scipy.sparse.linalg.expm_multiply``).  Sparse, the
+  backend for chains too large to densify; not stiffness-tolerant: its
+  cost grows linearly with ``||Q|| t`` (Al-Mohy & Higham, 2011).
 * ``"auto"`` — :func:`_choose`: uniformization when ``Lambda * t`` is
   small; for stiff problems, spectral on tiny chains, dense expm within
   the dense limit, and Krylov beyond it (the default of the GSU
@@ -37,6 +44,8 @@ can expose dense/sparse/uniformization dispatch counts.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +67,10 @@ from repro.ctmc.uniformization import _validate_time_grid
 
 #: Supported transient backends, scalar and grid alike.
 TRANSIENT_METHODS = ("auto", "uniformization", "spectral", "dense-expm", "krylov")
+
+#: Padé-13 scaling bound ``theta_13`` (Higham 2005): ``expm`` of a
+#: matrix whose 1-norm is at most this needs no squaring.
+_PADE13_THETA = 5.37
 
 #: Smallest normal double.
 _TINY = float(np.finfo(float).tiny)
@@ -178,10 +191,10 @@ def transient_grid(
     The grid must be non-decreasing.  It is deduplicated up front
     (repeated time points are solved once and broadcast back), then the
     unique points go to one backend of :data:`TRANSIENT_METHODS` (see
-    the module docstring).  Spectral and dense-expm rows are independent
-    per point, so a point's value never depends on its companions;
-    uniformization and Krylov step from one point to the next.  Returns
-    an array of shape ``(len(times), num_states)``.
+    the module docstring).  A spectral or dense-expm row depends only on
+    the chain and its own time, so a point's value never depends on its
+    companions; uniformization and Krylov step from one point to the
+    next.  Returns an array of shape ``(len(times), num_states)``.
     """
     grid = _validate_time_grid(times)
     _check_method(method, TRANSIENT_METHODS, "transient")
@@ -211,19 +224,70 @@ def transient_grid(
 
 
 def _dense_expm_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
-    """One dense expm per unique time."""
+    """``pi(t)`` per unique time from one shared chain of squarings."""
     _check_dense(chain, "dense-expm")
     config.record_dispatch("dense-expm", n=max(int(unique.size), 1))
-    pi0 = chain.initial_distribution
-    out = np.empty((unique.size, chain.num_states))
-    for k, t in enumerate(unique):
-        if t == 0.0:
-            out[k] = pi0
-            continue
-        out[k] = _renormalise(
-            pi0 @ dense_expm(chain.generator.toarray() * float(t))
-        )
-    return out
+    rows = _expm_rows(
+        chain.generator.toarray(), chain.initial_distribution, unique
+    )
+    for k in np.flatnonzero(unique > 0.0):
+        rows[k] = _renormalise(rows[k])
+    return rows
+
+
+def _squaring_exponent(a: np.ndarray) -> int:
+    """``s = max(0, ceil(log2(||a||_1 / theta_13)))``, computed exactly.
+
+    ``A 2**-s`` then lies within the Padé-13 bound, so its exponential
+    needs no squaring of its own.  A zero matrix gives ``s = 0``.
+    """
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if norm <= _PADE13_THETA:
+        return 0
+    mantissa, exponent = math.frexp(norm / _PADE13_THETA)
+    return exponent if mantissa > 0.5 else exponent - 1
+
+
+def _expm_rows(
+    a: np.ndarray, state: np.ndarray, unique: np.ndarray
+) -> np.ndarray:
+    """``state @ expm(a t)`` for every unique time, unnormalised.
+
+    Scaling and squaring with the squarings shared across the grid
+    (Moler & Van Loan, "Nineteen Dubious Ways").  The base step
+    ``h = 2**-s`` (:func:`_squaring_exponent`) depends only on ``a``.
+    Each time splits exactly as ``t = k h + rem`` with ``0 <= rem < h``
+    (``h`` is a power of two).  The powers ``P_j = expm(a h)**(2**j)``
+    are streamed in ascending ``j``: every row whose ``k`` has bit ``j``
+    set is multiplied by ``P_j``, then ``P_j`` is squared into
+    ``P_{j+1}``, so only one power is held at a time.  A row with
+    ``rem > 0`` finishes with one unsquared ``expm(a rem)``.
+
+    A row's products, their order and every ``P_j`` depend only on
+    ``a``, ``state`` and its own ``t``, and each row is multiplied on
+    its own, so a row is bitwise the same in any grid.
+    """
+    s = _squaring_exponent(a)
+    h = math.ldexp(1.0, -s)
+    rems = [math.fmod(float(t), h) for t in unique]
+    counts = [
+        int(math.ldexp(float(t) - rem, s)) for t, rem in zip(unique, rems)
+    ]
+    rows = np.empty((unique.size, state.size))
+    rows[:] = state
+    bits = max(counts, default=0).bit_length()
+    if bits:
+        power = dense_expm(a * h)
+    for j in range(bits):
+        for k, count in enumerate(counts):
+            if count >> j & 1:
+                rows[k] = rows[k] @ power
+        if j + 1 < bits:
+            power = power @ power
+    for k, rem in enumerate(rems):
+        if rem > 0.0:
+            rows[k] = rows[k] @ dense_expm(a * rem)
+    return rows
 
 
 def _negligible(at: sp.csr_matrix, dt: float) -> bool:

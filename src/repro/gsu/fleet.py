@@ -42,9 +42,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ctmc.accumulated import accumulated_reward
+# accumulated_reward and transient_distribution are unused here, but
+# perfbench/tracing.py wraps them on this module until request-scoped
+# traces replace it (ROADMAP item 3).
+from repro.ctmc.accumulated import (
+    accumulated_reward,  # noqa: F401  (perfbench/tracing.py, ROADMAP item 3)
+    transient_accumulated_grid,
+)
 from repro.ctmc.chain import CTMC
-from repro.ctmc.transient import transient_distribution
+from repro.ctmc.transient import (
+    transient_distribution,  # noqa: F401  (perfbench/tracing.py, ROADMAP item 3)
+)
 from repro.gsu.parameters import GSUParameters
 from repro.san.composition import (
     FLEET_FAILED,
@@ -241,6 +249,13 @@ class FleetSolver:
     use and reused across queries.  ``mode="lumped"``, the exact
     quotient, answers every production query; ``mode="flat"`` is the
     oracle for the lumping and the scaling benchmark's workload.
+
+    Every curve is one fused transient+accumulated grid solve over its
+    unique phis: on the stiff chains fleets produce, one chain of
+    squarings of the augmented generator serves the whole curve and
+    both measures (:meth:`_measures`).  :meth:`curve`,
+    :meth:`operational_time_curve` and :meth:`batch` all read that one
+    solve, so their ``Y`` agree bitwise.
     """
 
     def __init__(self, params: FleetParameters, mode: str = "lumped"):
@@ -313,31 +328,11 @@ class FleetSolver:
     def curve(self, phis: Sequence[float], method: str = "auto") -> np.ndarray:
         """``Y(phi)`` at every requested duration.
 
-        ``Y(phi) = E[fraction of operational processes at time phi]``.
-        Each *unique* phi is solved independently from ``t = 0`` (and
-        broadcast to duplicates), so the value at a duration never
-        depends on which other durations ride along — the property that
-        keeps campaign results bitwise identical across backends, job
-        counts, and chunk sizes.  On the lumped representation an
-        independent solve is a few hundred states — negligible; large
-        *flat* chains should batch through
-        :func:`repro.ctmc.transient.transient_grid` directly (the
-        scaling benchmark does).
+        ``Y(phi) = E[fraction of operational processes at time phi]``,
+        the instant half of :meth:`_measures`; ``method`` is a method of
+        :func:`~repro.ctmc.accumulated.transient_accumulated_grid`.
         """
-        grid = self._validated_grid(phis)
-        unique, inverse = np.unique(grid, return_inverse=True)
-        chain = self.chain()
-        rewards = self.operational_rewards()
-        values = np.array(
-            [
-                float(
-                    transient_distribution(chain, float(t), method=method)
-                    @ rewards
-                )
-                for t in unique
-            ]
-        )
-        return values[inverse]
+        return self._measures(phis, method)[0]
 
     def value(self, phi: float, method: str = "auto") -> float:
         """``Y(phi)`` at a single duration."""
@@ -346,22 +341,35 @@ class FleetSolver:
     def operational_time_curve(
         self, phis: Sequence[float], method: str = "auto"
     ) -> np.ndarray:
-        """Expected cumulative operational fraction ``int_0^phi ... du``.
+        """Expected cumulative operational fraction ``int_0^phi ... du``,
+        the accumulated half of :meth:`_measures`."""
+        return self._measures(phis, method)[1]
 
-        The accumulated-reward companion of :meth:`curve`, with the same
-        per-unique-phi independence guarantee.
+    def _measures(
+        self, phis: Sequence[float], method: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(Y, operational_time)`` at every requested duration.
+
+        One fused :func:`~repro.ctmc.accumulated.transient_accumulated_grid`
+        call over the unique phis (``method`` is one of its methods)
+        serves both measures, broadcast back to duplicates.  On the
+        stiff chains fleets produce, ``auto`` picks ``augmented-expm``:
+        one chain of squarings serves every phi, yet each row depends
+        only on its own phi, so a value never depends on which other
+        durations ride along — the property that keeps campaign
+        results bitwise identical across job counts and chunk sizes.
+        ``Y`` is a per-row dot product for the same reason.  A
+        non-stiff fleet (short ``theta``) takes the uniformization
+        walk, whose rows can differ in the last bits from grid to grid.
         """
         grid = self._validated_grid(phis)
         unique, inverse = np.unique(grid, return_inverse=True)
-        chain = self.chain()
         rewards = self.operational_rewards()
-        values = np.array(
-            [
-                accumulated_reward(chain, rewards, float(t), method=method)
-                for t in unique
-            ]
+        rows, acc = transient_accumulated_grid(
+            self.chain(), rewards, unique, method=method
         )
-        return values[inverse]
+        y = np.array([float(row @ rewards) for row in rows])
+        return y[inverse], acc[inverse]
 
     def batch(self, phis: Sequence[float]) -> list[dict[str, float]]:
         """Both fleet measures for many durations at once.
@@ -369,8 +377,7 @@ class FleetSolver:
         Returns one ``{"Y": ..., "operational_time": ...}`` dict per
         requested phi, in request order.
         """
-        y = self.curve(phis)
-        op_time = self.operational_time_curve(phis)
+        y, op_time = self._measures(phis, "auto")
         return [
             {"Y": float(a), "operational_time": float(b)}
             for a, b in zip(y, op_time)

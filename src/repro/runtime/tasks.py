@@ -26,7 +26,10 @@ from repro.runtime.spec import CampaignSpec, params_to_dict
 #: Version of the cache-key schema.  Bump whenever the key payload, the
 #: record layout, or the semantics of an existing field change — old
 #: cache entries then become unreachable instead of silently wrong.
-CACHE_KEY_SCHEMA_VERSION = 1
+#: Version 2: matrix-exponential answers moved by about 1e-10 when the
+#: ``dense-expm`` and ``augmented-expm`` backends began sharing one chain
+#: of squarings across each grid.
+CACHE_KEY_SCHEMA_VERSION = 2
 
 #: The measure a task evaluates (part of the key payload, so future
 #: measure families cannot collide with ``Y(phi)`` entries).

@@ -19,14 +19,22 @@ Tolerances (documented contract, asserted by the tests):
 * :data:`STEADY_TOLERANCE` — stationary rewards agree to ``1e-7``
   absolute (the iterative backends stop at their own ``1e-10``-ish
   residuals, far inside this envelope).
+
+:func:`pade_transient_rows` and :func:`pade_transient_accumulated` are
+the reference for the ``dense-expm`` and ``augmented-expm`` backends:
+one independent ``scipy.linalg.expm`` per time point, which scales and
+squares ``A t`` on its own, where the backends share one chain of
+squarings across the grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from repro.ctmc.accumulated import ACCUMULATED_METHODS, accumulated_grid, accumulated_reward
 from repro.ctmc.chain import CTMC
+from repro.ctmc.linalg import validate_rewards
 from repro.ctmc.steady_state import STEADY_METHODS, steady_state_reward
 from repro.ctmc.transient import (
     TRANSIENT_METHODS,
@@ -71,6 +79,31 @@ def random_chain(
     initial = rng.random(num_states) + 1e-3
     initial /= initial.sum()
     return CTMC(q, initial=initial)
+
+
+def pade_transient_rows(chain: CTMC, times) -> np.ndarray:
+    """``pi(0) expm(Q t)`` for each time, one Padé exponential per point.
+
+    Rows are not renormalised.  Returns shape ``(len(times), n)``.
+    """
+    q = chain.generator.toarray()
+    pi0 = chain.initial_distribution
+    return np.array([pi0 @ expm(q * float(t)) for t in times])
+
+
+def pade_transient_accumulated(
+    chain: CTMC, rewards, times
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(pi(t), int_0^t pi(u) r du)`` per time, one Padé exponential of
+    the augmented generator ``[[Q, r], [0, 0]]`` per point."""
+    n = chain.num_states
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = chain.generator.toarray()
+    a[:n, n] = validate_rewards(rewards, n)
+    state = np.zeros(n + 1)
+    state[:n] = chain.initial_distribution
+    result = np.array([state @ expm(a * float(t)) for t in times])
+    return result[:, :n], result[:, n]
 
 
 def transient_reward_by_method(

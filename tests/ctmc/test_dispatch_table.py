@@ -10,8 +10,7 @@ calls, must record exactly the pinned ``config.dispatch_counts()``
 delta.  Dense exponentials count one solve per unique grid point; every
 other backend counts one pass per grid.
 
-A ``t = 0`` scalar solve records no backend at all: the fleet's per-phi
-calls at ``phi = 0`` rely on it.
+A ``t = 0`` scalar solve records no backend at all.
 
 Rows whose real-cutoff version would take minutes (a stiff Krylov walk
 on thousands of states, a dense exponential of the dense limit) lower

@@ -12,13 +12,14 @@ the sparse backends apply).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ctmc.accumulated import (
     ACCUMULATED_METHODS,
     accumulated_grid,
     accumulated_reward,
+    transient_accumulated_grid,
 )
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
@@ -126,13 +127,44 @@ class TestTransientGridMatchesScalar:
 class TestGridIndependence:
     """A grid point's value must not depend on its companions."""
 
+    @pytest.mark.parametrize("method", ["dense-expm", "augmented-expm"])
     @given(chain=chains(), grid=grids())
+    @example(  # all-zero generator: ||A|| = 0 still gives a finite step
+        chain=CTMC.from_rates(3, {}), grid=[0.0, 0.5, 1e3, 1e3]
+    )
+    @example(  # absorbing chain, dyadic and non-dyadic points
+        chain=CTMC.from_rates(3, {(0, 1): 4.0, (1, 2): 0.25}),
+        grid=[0.0, 0.1, 1.0 / 3.0, 2.0, 2.0, 16.0, 19.37],
+    )
+    @example(  # the smallest subnormal time
+        chain=CTMC.from_rates(2, {(0, 1): 3.0, (1, 0): 1.0}),
+        grid=[5e-324, 5e-324, 1.0],
+    )
     @settings(max_examples=30, deadline=None)
-    def test_dense_expm_rows_are_grid_invariant(self, chain, grid):
-        full = transient_grid(chain, grid, method="dense-expm")
-        for row, t in zip(full, grid):
-            alone = transient_grid(chain, [t], method="dense-expm")[0]
-            np.testing.assert_array_equal(row, alone)
+    def test_expm_rows_are_grid_independent(self, method, chain, grid):
+        """A row is bitwise the same solved as a scalar, as a one-point
+        grid, or inside a grid with duplicates."""
+        rewards = np.linspace(-1.0, 1.0, chain.num_states)
+
+        def solve(times):
+            if method == "dense-expm":
+                return transient_grid(chain, times, method=method), None
+            return transient_accumulated_grid(
+                chain, rewards, times, method=method
+            )
+
+        rows, acc = solve(grid)
+        for k, t in enumerate(grid):
+            alone_rows, alone_acc = solve([t])
+            np.testing.assert_array_equal(rows[k], alone_rows[0])
+            if method == "dense-expm":
+                scalar = transient_distribution(chain, t, method=method)
+                np.testing.assert_array_equal(rows[k], scalar)
+            else:
+                assert acc[k] == alone_acc[0]
+                assert acc[k] == accumulated_reward(
+                    chain, rewards, t, method=method
+                )
 
     @given(chain=chains(), grid=grids())
     @settings(max_examples=30, deadline=None)

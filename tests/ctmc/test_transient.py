@@ -156,3 +156,28 @@ class TestTransientGrid:
             transient_grid(birth_death_chain, [1.0, 0.5])
         with pytest.raises(CTMCError):
             transient_grid(birth_death_chain, [-1.0, 0.0])
+
+
+class TestSquaringExponent:
+    """The base step ``h = 2**-s`` of the shared squarings."""
+
+    @pytest.mark.parametrize(
+        "norm, expected",
+        [
+            (0.0, 0),
+            (5.37, 0),
+            (5.37 * 2.0, 1),
+            (5.37 * 2.0 * (1 + 1e-15), 2),
+            (5.37 * 1024.0, 10),
+            (37_200.0, 13),
+        ],
+    )
+    def test_smallest_step_within_pade13_bound(self, norm, expected):
+        from repro.ctmc.transient import _squaring_exponent
+
+        a = np.array([[-norm, norm], [0.0, 0.0]])
+        s = _squaring_exponent(a)
+        assert s == expected
+        assert np.abs(a).sum(axis=0).max() * 2.0**-s <= 5.37
+        if s:
+            assert np.abs(a).sum(axis=0).max() * 2.0 ** (1 - s) > 5.37

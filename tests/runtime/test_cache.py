@@ -12,6 +12,7 @@ import logging
 
 import pytest
 
+from repro.gsu.fleet import FleetParameters
 from repro.gsu.parameters import PAPER_TABLE3
 from repro.gsu.performability import evaluate_index
 from repro.runtime.cache import (
@@ -20,8 +21,13 @@ from repro.runtime.cache import (
     TieredResultCache,
 )
 from repro.runtime.campaign import RuntimeConfig, run_campaign
+from repro.runtime.executor import execute_fleet_tasks
 from repro.runtime.spec import CampaignSpec, CurveSpec
-from repro.runtime.tasks import plan_campaign
+from repro.runtime.tasks import (
+    CACHE_KEY_SCHEMA_VERSION,
+    plan_campaign,
+    plan_fleet_tasks,
+)
 
 
 def small_spec(name="cache-test", phis=(0.0, 4000.0, 10_000.0)):
@@ -99,7 +105,13 @@ class TestCorruption:
             lambda path: path.write_text(""),
             lambda path: path.write_text(json.dumps({"schema": 999})),
             lambda path: path.write_text(
-                json.dumps({"schema": 1, "key": "0" * 64, "record": {}})
+                json.dumps(
+                    {
+                        "schema": CACHE_KEY_SCHEMA_VERSION,
+                        "key": "0" * 64,
+                        "record": {},
+                    }
+                )
             ),
         ],
         ids=["garbage", "truncated", "wrong-schema", "wrong-key"],
@@ -169,17 +181,44 @@ class TestKeying:
 
     def test_schema_version_bump_invalidates(self, tmp_path):
         spec = small_spec(phis=(5000.0,))
-        v1 = ResultCache(root=tmp_path / "cache")
-        run_campaign(spec, cache=v1)
-        assert v1.stats.writes == 1
+        current = ResultCache(root=tmp_path / "cache")
+        run_campaign(spec, cache=current)
+        assert current.stats.writes == 1
 
-        v2 = ResultCache(root=tmp_path / "cache", schema_version=2)
+        bumped = ResultCache(
+            root=tmp_path / "cache",
+            schema_version=CACHE_KEY_SCHEMA_VERSION + 1,
+        )
         counter = CountingEvaluate()
-        result = run_campaign(spec, cache=v2, evaluate_fn=counter)
-        assert len(counter.calls) == 1  # v1 entry unreachable under v2
+        result = run_campaign(spec, cache=bumped, evaluate_fn=counter)
+        assert len(counter.calls) == 1  # old entry unreachable after a bump
         assert result.cache_stats.misses == 1
         # Both versions now coexist without clashing.
-        assert len(v2) == 2
+        assert len(bumped) == 2
+
+    def test_schema_1_entries_are_never_served(self, tmp_path):
+        """Schema 2 marks the move of every matrix-exponential answer
+        (by about 1e-10) to shared squarings: no tier of a later schema
+        serves a schema-1 entry, for campaign points or fleet points."""
+        assert CACHE_KEY_SCHEMA_VERSION >= 2
+        root = tmp_path / "cache"
+        old = ResultCache(root=root, schema_version=1)
+        spec = small_spec(phis=(5000.0,))
+        run_campaign(spec, cache=old)
+        task = plan_campaign(spec)[0]
+        fleet_task = plan_fleet_tasks(FleetParameters(n_processes=3), [1000.0])[0]
+        execute_fleet_tasks([fleet_task], cache=old)
+        assert old.get(task) is not None and old.get(fleet_task) is not None
+
+        served = RuntimeConfig(cache_dir=root, memory_cache=16).make_cache()
+        for probe in (ResultCache(root=root), served):
+            assert probe.get(task) is None
+            assert probe.get(fleet_task) is None
+        counter = CountingEvaluate()
+        run_campaign(spec, cache=served, evaluate_fn=counter)
+        assert len(counter.calls) == 1
+        (outcome,) = execute_fleet_tasks([fleet_task], cache=served)
+        assert not outcome.cached
 
     def test_no_cache_flag_bypasses_configured_cache(self, cache):
         spec = small_spec(phis=(5000.0,))
