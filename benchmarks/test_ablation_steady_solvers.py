@@ -2,9 +2,10 @@
 
 Compares the direct sparse solve against the iterative methods
 historically shipped in UltraSAN-era tools (power iteration on the
-uniformized chain, Gauss-Seidel, SOR) — all must agree on the Table 2
-overhead measures; the benchmark shows their cost profile on the
-24-state RMGp chain.
+uniformized chain, Gauss-Seidel, SOR), kept as references in
+``repro.verify.oracles`` — all must agree on the Table 2 overhead
+measures; the benchmark shows their cost profile on the 24-state RMGp
+chain.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ from repro.analysis.tables import format_table
 from repro.ctmc.steady_state import steady_state_distribution
 from repro.gsu.measures import RS_OVERHEAD_2, ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
+from repro.verify.oracles import STEADY_REFERENCES
 
-METHODS = ("direct", "power", "gauss-seidel", "sor")
+SOLVERS = {"direct": steady_state_distribution, **STEADY_REFERENCES}
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +31,8 @@ def agreement(compiled_rmgp):
     rewards = RS_OVERHEAD_2.rate_vector(compiled_rmgp)
     rows = []
     values = {}
-    for method in METHODS:
-        pi = steady_state_distribution(compiled_rmgp.chain, method=method)
+    for method, solve in SOLVERS.items():
+        pi = solve(compiled_rmgp.chain)
         values[method] = float(pi @ rewards)
         rows.append([method, values[method], 1.0 - values[method]])
     report = format_table(
@@ -45,12 +47,12 @@ def agreement(compiled_rmgp):
     return values
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", SOLVERS)
 def test_ablation_steady_state_method(
     compiled_rmgp, agreement, benchmark, method
 ):
     def kernel():
-        return steady_state_distribution(compiled_rmgp.chain, method=method)
+        return SOLVERS[method](compiled_rmgp.chain)
 
     pi = benchmark(kernel)
     assert np.isclose(pi.sum(), 1.0)

@@ -37,6 +37,7 @@ from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.plotting import ascii_curves
 from repro.analysis.sweep import run_sweep
 from repro.analysis.tables import optimum_table, sweep_table
+from repro.ctmc.errors import CTMCError
 from repro.gsu.fleet import FleetParameters
 from repro.gsu.hybrid import hybrid_evaluate
 from repro.gsu.measures import ConstituentSolver
@@ -1278,7 +1279,11 @@ def _cmd_measure(args) -> int:
     structure = reward_structure_from_spec("cli_measure", pairs)
 
     if args.solution == "steady":
-        value = steady_state(compiled, structure)
+        try:
+            value = steady_state(compiled, structure)
+        except CTMCError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"steady-state reward on {args.model.upper()}: {value:.8g}")
         return 0
     if args.at is None:
@@ -1329,7 +1334,12 @@ def _cmd_solve(args) -> int:
             pairs.append((spec, 1.0))
     structure = reward_structure_from_spec("cli_solve", pairs)
     if args.solution == "steady":
-        print(f"steady-state reward: {steady_state(compiled, structure):.8g}")
+        try:
+            value = steady_state(compiled, structure)
+        except CTMCError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"steady-state reward: {value:.8g}")
         return 0
     if args.at is None:
         print("error: --at is required for instant/accumulated solutions",

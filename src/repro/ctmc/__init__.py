@@ -14,19 +14,19 @@ solutions used throughout the reproduction:
   ``uniformization``, ``spectral``, ``dense-expm`` and ``krylov``.
 * :mod:`~repro.ctmc.accumulated` — expected accumulated reward over an
   interval ``[0, t]``.  Backends: ``uniformization``,
-  ``augmented-expm``, ``augmented-krylov`` and the ``quadrature``
-  reference path.
-* :mod:`~repro.ctmc.steady_state` — steady-state solvers (direct sparse,
-  power method on the uniformized DTMC, Gauss–Seidel, SOR).
-* :mod:`~repro.ctmc.absorbing` — absorbing-chain analysis (absorption
-  probabilities, expected time to absorption).
-* :mod:`~repro.ctmc.dtmc` — embedded and uniformized DTMC helpers.
+  ``augmented-expm`` and ``augmented-krylov``.
+* :mod:`~repro.ctmc.steady_state` — the steady-state solver (direct
+  sparse LU).
+* :mod:`~repro.ctmc.lumping` — exact (ordinary) lumping onto a quotient
+  chain.
 * :mod:`~repro.ctmc.sensitivity` — finite-difference parameter
   sensitivities of reward measures.
 
 Each solve kind has one grid implementation; a scalar call is its
 one-point grid, and one ``auto`` rule picks the backend for all of
-them.
+them.  The slow reference solvers that cross-check these backends
+(per-point Padé, quadrature, power, Gauss–Seidel and SOR) live in
+:mod:`repro.verify.oracles`.
 
 These are the textbook algorithms implemented inside tools such as
 UltraSAN and Möbius; the paper's three SAN reward models are compiled to
@@ -42,59 +42,27 @@ from repro.ctmc.transient import (
 from repro.ctmc.accumulated import (
     accumulated_grid,
     accumulated_reward,
-    averaged_interval_reward,
     transient_accumulated_grid,
 )
 from repro.ctmc.steady_state import steady_state_distribution, steady_state_reward
-from repro.ctmc.absorbing import (
-    AbsorbingAnalysis,
-    absorption_probabilities,
-    mean_time_to_absorption,
-)
 from repro.ctmc.uniformization import fox_glynn_weights, uniformize
-from repro.ctmc.dtmc import DTMC, embedded_dtmc, uniformized_dtmc
-from repro.ctmc.first_passage import (
-    first_passage_cdf,
-    first_passage_quantile,
-    make_absorbing,
-    mean_first_passage_time,
-)
 from repro.ctmc.lumping import LumpedCTMC, check_lumpability, lump
-from repro.ctmc.moments import (
-    AccumulatedRewardMoments,
-    accumulated_reward_moments,
-    accumulated_reward_std,
-)
 from repro.ctmc.sensitivity import finite_difference_sensitivity
 
 __all__ = [
-    "AccumulatedRewardMoments",
+    "CTMC",
     "LumpedCTMC",
     "check_lumpability",
     "lump",
-    "accumulated_reward_moments",
-    "accumulated_reward_std",
-    "first_passage_cdf",
-    "first_passage_quantile",
-    "make_absorbing",
-    "mean_first_passage_time",
-    "CTMC",
-    "DTMC",
-    "AbsorbingAnalysis",
     "transient_distribution",
     "transient_grid",
     "instant_of_time_reward",
     "accumulated_reward",
     "accumulated_grid",
     "transient_accumulated_grid",
-    "averaged_interval_reward",
     "steady_state_distribution",
     "steady_state_reward",
-    "absorption_probabilities",
-    "mean_time_to_absorption",
     "fox_glynn_weights",
     "uniformize",
-    "embedded_dtmc",
-    "uniformized_dtmc",
     "finite_difference_sensitivity",
 ]

@@ -24,19 +24,18 @@ pass; :func:`accumulated_grid` returns its second half and the scalar
   augmented matrix.  ``O(nnz)`` memory — the large-chain workhorse
   above ``DENSE_STATE_LIMIT`` — but its cost grows linearly with
   ``||Q|| t`` (Al-Mohy & Higham, 2011).
-* ``"quadrature"`` — adaptive quadrature over the transient solution
-  (slow; a reference path for cross-validation only, not available to
-  the fused solver).
 * ``"auto"`` — the shared rule of :func:`repro.ctmc.transient._choose`:
   uniformization when non-stiff; otherwise augmented expm within the
   dense limit and augmented Krylov beyond it.
+
+The slow quadrature reference that cross-checks these backends lives
+with the other oracles in :mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
 
 from repro.ctmc import config
 from repro.ctmc.chain import CTMC
@@ -50,20 +49,16 @@ from repro.ctmc.transient import (
     _expm_rows,
     _krylov_step,
     _renormalise,
-    transient_distribution,
 )
 from repro.ctmc.uniformization import _validate_time_grid
 
-#: Methods supported by the fused transient+accumulated grid solver.
-TRANSIENT_ACCUMULATED_GRID_METHODS = (
+#: Supported accumulated-reward backends: scalar, grid and fused alike.
+ACCUMULATED_METHODS = (
     "auto",
     "uniformization",
     "augmented-expm",
     "augmented-krylov",
 )
-
-#: Supported accumulated-reward backends, scalar and grid alike.
-ACCUMULATED_METHODS = TRANSIENT_ACCUMULATED_GRID_METHODS + ("quadrature",)
 
 #: The accumulated backend for each answer of the shared ``auto`` rule.
 _AUGMENTED = {
@@ -113,8 +108,7 @@ def accumulated_reward(
         Interval length.
     method:
         Any entry of :data:`ACCUMULATED_METHODS`; ``"uniformization"``
-        (integrated uniformization) is the default, ``"quadrature"``
-        the slow cross-validation path.
+        (integrated uniformization) is the default.
     """
     _check_method(method, ACCUMULATED_METHODS, "accumulated")
     if t < 0:
@@ -136,28 +130,12 @@ def accumulated_grid(
 ) -> np.ndarray:
     """Accumulated rewards ``E[Y(times[j])]`` for a whole time grid.
 
-    The accumulated half of :func:`transient_accumulated_grid`, except
-    for ``"quadrature"``, which integrates the transient solution
-    independently per unique point.  Returns an array of shape
-    ``(len(times),)``.
+    The accumulated half of :func:`transient_accumulated_grid`.  Returns
+    an array of shape ``(len(times),)``.
     """
-    _check_method(method, ACCUMULATED_METHODS, "accumulated")
-    if method != "quadrature":
-        return transient_accumulated_grid(
-            chain, rewards, times, method=method, tolerance=tolerance
-        )[1]
-    grid = _validate_time_grid(times)
-    r = validate_rewards(rewards, chain.num_states)
-    unique, inverse = np.unique(grid, return_inverse=True)
-    config.record_dispatch("quadrature")
-
-    def integrand(u: float) -> float:
-        return float(transient_distribution(chain, u) @ r)
-
-    out = np.array(
-        [quad(integrand, 0.0, float(t), limit=200)[0] for t in unique]
-    )
-    return out[inverse]
+    return transient_accumulated_grid(
+        chain, rewards, times, method=method, tolerance=tolerance
+    )[1]
 
 
 def transient_accumulated_grid(
@@ -189,9 +167,7 @@ def transient_accumulated_grid(
     one, and behind the fleet measures, one call per curve.
     """
     grid = _validate_time_grid(times)
-    _check_method(
-        method, TRANSIENT_ACCUMULATED_GRID_METHODS, "transient+accumulated grid"
-    )
+    _check_method(method, ACCUMULATED_METHODS, "accumulated")
     r = validate_rewards(rewards, chain.num_states)
     unique, inverse = np.unique(grid, return_inverse=True)
     if method == "auto":
@@ -264,26 +240,3 @@ def _augmented_krylov_grid(
         prev = float(t)
     return rows, acc
 
-
-def averaged_interval_reward(
-    chain: CTMC,
-    rewards,
-    t: float,
-    method: str = "uniformization",
-) -> float:
-    """Time-averaged interval-of-time reward ``E[Y(t)] / t``."""
-    if t <= 0:
-        raise CTMCError(f"interval length must be positive, got {t}")
-    return accumulated_reward(chain, rewards, t, method=method) / t
-
-
-def time_in_set(chain: CTMC, states, t: float) -> float:
-    """Expected total time spent in a state set during ``[0, t]``.
-
-    ``states`` may contain integer indices or labels.
-    """
-    indicator = np.zeros(chain.num_states)
-    for s in states:
-        idx = s if isinstance(s, (int, np.integer)) else chain.state_index(s)
-        indicator[idx] = 1.0
-    return accumulated_reward(chain, indicator, t)

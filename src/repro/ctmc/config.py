@@ -17,19 +17,11 @@ one documented place, instead of being scattered across
     ``.toarray()`` on a generator beyond this limit.
 ``SPECTRAL_STATE_LIMIT`` / ``SPECTRAL_CONDITION_LIMIT``
     Eigendecomposition backend bounds (tiny chains only).
-``DIRECT_STEADY_LIMIT``
-    Largest chain the steady-state ``auto`` dispatch hands to the
-    sparse-LU direct solver; larger chains fall back to the iterative
-    (power) solver, whose memory stays ``O(nnz)``.
 ``MAX_UNIFORMIZATION_TERMS``
     Bounded truncation: the largest Fox–Glynn window (matrix-vector
     products per segment) uniformization will walk before raising.
     ``auto`` dispatch routes such problems to a matrix-exponential
     backend instead of silently burning hours of matvecs.
-``LUMP_LOOP_LIMIT``
-    Largest chain :func:`repro.ctmc.lumping.lump` processes with the
-    per-state reference loop; larger chains use the vectorised sparse
-    aggregation path.
 
 Each limit has an environment override (``REPRO_<NAME>``) read at
 dispatch time, so a campaign can be re-run with, say,
@@ -66,14 +58,8 @@ SPECTRAL_STATE_LIMIT = 32
 #: generator) the spectral backend falls back to dense expm.
 SPECTRAL_CONDITION_LIMIT = 1e8
 
-#: Largest chain steady-state ``auto`` dispatch solves with sparse LU.
-DIRECT_STEADY_LIMIT = 200_000
-
 #: Largest Fox–Glynn window uniformization will walk per segment.
 MAX_UNIFORMIZATION_TERMS = 1_000_000
-
-#: Largest chain lumped with the per-state reference loop.
-LUMP_LOOP_LIMIT = 2_000
 
 _ENV_PREFIX = "REPRO_"
 
@@ -86,9 +72,7 @@ class SolverLimits:
     dense_state_limit: int = DENSE_STATE_LIMIT
     spectral_state_limit: int = SPECTRAL_STATE_LIMIT
     spectral_condition_limit: float = SPECTRAL_CONDITION_LIMIT
-    direct_steady_limit: int = DIRECT_STEADY_LIMIT
     max_uniformization_terms: int = MAX_UNIFORMIZATION_TERMS
-    lump_loop_limit: int = LUMP_LOOP_LIMIT
 
 
 _DEFAULTS = SolverLimits()
@@ -170,7 +154,7 @@ class DispatchCounters:
 
     Keys are backend names as dispatched (``"uniformization"``,
     ``"dense-expm"``, ``"krylov"``, ``"spectral"``, ``"augmented-expm"``,
-    ``"steady-direct"``, ``"steady-iterative"``, ...).  Mutation is a
+    ``"steady-direct"``, ...).  Mutation is a
     single locked int add, cheap enough for every solve to report.
     """
 

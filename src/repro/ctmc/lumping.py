@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.ctmc import config
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
 
@@ -106,10 +105,8 @@ def check_lumpability(
 def lump(chain: CTMC, partition: Sequence[Sequence[int]]) -> LumpedCTMC:
     """Build the exact quotient chain over ``partition``.
 
-    Chains up to ``LUMP_LOOP_LIMIT`` states use a per-state reference
-    loop (stable summation order, kept for bitwise reproducibility of
-    the paper's models); larger chains dispatch to the vectorised sparse
-    aggregation path of :func:`lump_from_block_map`.
+    Validates the partition and hands its block map to
+    :func:`lump_from_block_map`.
 
     Raises
     ------
@@ -118,52 +115,11 @@ def lump(chain: CTMC, partition: Sequence[Sequence[int]]) -> LumpedCTMC:
         (block rates differ between members of a block beyond
         tolerance).
     """
-    n = chain.num_states
-    blocks = _normalise_partition(partition, n)
-    block_of = [0] * n
+    blocks = _normalise_partition(partition, chain.num_states)
+    block_of = np.empty(chain.num_states, dtype=np.int64)
     for b, members in enumerate(blocks):
-        for i in members:
-            block_of[i] = b
-    if n > config.limits().lump_loop_limit:
-        return lump_from_block_map(chain, np.asarray(block_of, dtype=np.int64))
-    q = chain.generator.tocsr()
-    k = len(blocks)
-    rates: dict[tuple[int, int], float] = {}
-    # For each state, total rate into each other block; members of one
-    # block must agree.
-    for b, members in enumerate(blocks):
-        reference: dict[int, float] | None = None
-        for i in members:
-            into: dict[int, float] = {}
-            row = q.getrow(i)
-            for j, rate in zip(row.indices, row.data):
-                if j == i:
-                    continue
-                target = block_of[j]
-                if target != b:
-                    into[target] = into.get(target, 0.0) + rate
-            if reference is None:
-                reference = into
-            else:
-                keys = set(reference) | set(into)
-                for key in keys:
-                    a, c = reference.get(key, 0.0), into.get(key, 0.0)
-                    scale = max(abs(a), abs(c), 1e-30)
-                    if abs(a - c) > _LUMP_RTOL * scale + _LUMP_ATOL:
-                        raise CTMCError(
-                            f"partition not lumpable: states {members[0]} "
-                            f"and {i} disagree on the rate into block {key} "
-                            f"({a:g} vs {c:g})"
-                        )
-        for target, rate in (reference or {}).items():
-            if rate > 0.0:
-                rates[(b, target)] = rate
-    initial = np.zeros(k)
-    init = chain.initial_distribution
-    for b, members in enumerate(blocks):
-        initial[b] = float(init[list(members)].sum())
-    lumped = CTMC.from_rates(k, rates, initial=initial)
-    return LumpedCTMC(chain=lumped, blocks=blocks, block_of=tuple(block_of))
+        block_of[list(members)] = b
+    return lump_from_block_map(chain, block_of)
 
 
 def _blocks_from_map(block_of: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
@@ -179,25 +135,20 @@ def _blocks_from_map(block_of: np.ndarray, k: int) -> tuple[tuple[int, ...], ...
 def lump_from_block_map(chain: CTMC, block_of) -> LumpedCTMC:
     """Vectorised exact lumping from a per-state block-index array.
 
-    Scales to 1e5+-state chains where :func:`lump`'s per-state loop (one
-    ``getrow`` per state) is prohibitive.  The whole lumpability check is
-    three sparse operations:
+    Scales to 1e5+-state chains: the whole lumpability check is three
+    sparse operations:
 
     1. aggregate — ``R = Q_offdiag @ U`` with ``U`` the ``n x k`` block
        indicator, so ``R[i, c]`` is state ``i``'s total rate into block
        ``c``;
     2. lift — ``Rref`` takes each row of ``R`` to its block
-       representative's row (the block's lowest-index member, matching
-       the loop path's reference choice);
-    3. compare — ``|R - Rref|`` against the same
-       ``rtol * max(|a|, |c|) + atol`` tolerance the loop path applies,
-       with each state's own-block column masked out (internal
-       transitions don't constrain ordinary lumpability).
+       representative's row (the block's lowest-index member);
+    3. compare — ``|R - Rref|`` against an
+       ``rtol * max(|a|, |c|) + atol`` tolerance, with each state's
+       own-block column masked out (internal transitions don't
+       constrain ordinary lumpability).
 
-    The quotient generator is read off the representative rows.  Summation
-    happens inside sparse matrix products, so quotient rates can differ
-    from :func:`lump`'s dict-ordered accumulation by round-off — which is
-    why small chains keep the loop path (see ``LUMP_LOOP_LIMIT``).
+    The quotient generator is read off the representative rows.
     """
     n = chain.num_states
     block_of = np.asarray(block_of, dtype=np.int64)

@@ -1,21 +1,14 @@
-"""Steady-state distribution solvers.
+"""Steady-state distribution solver.
 
 The paper's performance-overhead measures ``1 - rho1`` and ``1 - rho2``
 (Table 2) are *expected instant-of-time rewards at steady state* of the
-irreducible reward model ``RMGp``.  This module provides several solver
-backends for ``pi Q = 0, pi 1 = 1``:
+irreducible reward model ``RMGp``.  One solver answers ``pi Q = 0,
+pi 1 = 1``: sparse LU on ``Q^T`` with the normalisation constraint
+replacing one equation, memoised on the chain.
 
-* ``"direct"`` — sparse LU on the normal equations with the
-  normalisation constraint replacing one column (exact, default).
-* ``"power"`` — power iteration on the uniformized DTMC.
-* ``"gauss-seidel"`` — classic iterative sweep.
-* ``"sor"`` — successive over-relaxation generalising Gauss–Seidel.
-* ``"auto"`` — direct up to ``DIRECT_STEADY_LIMIT`` states, sparse
-  iterative (power) fallback beyond it, where an LU factorisation's
-  fill-in would dominate memory.
-
-The iterative methods exist both as ablation subjects and because they
-are the solvers historically shipped in tools like UltraSAN.
+The power, Gauss–Seidel and SOR iterations historically shipped in
+tools like UltraSAN cross-check it as references in
+:mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations
@@ -23,67 +16,63 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from repro.ctmc import config
 from repro.ctmc.chain import CTMC
-from repro.ctmc.errors import ConvergenceError, CTMCError
+from repro.ctmc.errors import CTMCError
 from repro.ctmc.linalg import validate_rewards
-from repro.ctmc.uniformization import uniformize
-
-#: Supported steady-state solver backends.
-STEADY_METHODS = ("direct", "power", "gauss-seidel", "sor", "auto")
 
 
-def steady_state_distribution(
-    chain: CTMC,
-    method: str = "direct",
-    tolerance: float = 1e-12,
-    max_iterations: int = 200_000,
-    relaxation: float = 1.2,
-) -> np.ndarray:
+def steady_state_distribution(chain: CTMC) -> np.ndarray:
     """Stationary distribution ``pi`` with ``pi Q = 0`` and ``sum(pi) = 1``.
 
-    The chain must have a single recurrent class reachable from every
-    state (absorbing chains should use :mod:`repro.ctmc.absorbing`
-    instead).  Iterative backends raise :class:`ConvergenceError` when the
-    requested tolerance is not met within ``max_iterations``.
+    The chain must have exactly one closed class, which every state then
+    reaches; a chain with a single absorbing state qualifies, and its
+    stationary distribution sits on that state.  A chain with more than
+    one closed class (two absorbing states, say) has no unique
+    stationary distribution, and the solve raises :class:`CTMCError`.
     """
-    if method not in STEADY_METHODS:
-        raise CTMCError(
-            f"unknown steady-state method {method!r}; expected one of {STEADY_METHODS}"
-        )
-    q = chain.generator
     n = chain.num_states
     if n == 1:
         return np.array([1.0])
-    if method == "auto":
-        method = (
-            "direct" if n <= config.limits().direct_steady_limit else "power"
-        )
-    if method == "direct":
-        config.record_dispatch("steady-direct")
-        # The direct solve is a deterministic pure function of the
-        # (immutable) generator, so memoise it on the chain: measures
-        # evaluated against the same chain (e.g. rho1 and rho2 on one
-        # RMGp instance) share a single factorisation.  Copy out so
-        # callers can never corrupt the cache.
-        cached = getattr(chain, "_direct_steady_cache", None)
-        if cached is None:
-            cached = _direct(q, n)
-            chain._direct_steady_cache = cached
-        return cached.copy()
-    config.record_dispatch("steady-iterative")
-    if method == "power":
-        return _power(chain, tolerance, max_iterations)
-    omega = 1.0 if method == "gauss-seidel" else relaxation
-    return _sor(q, n, omega, tolerance, max_iterations)
+    config.record_dispatch("steady-direct")
+    # The direct solve is a deterministic pure function of the
+    # (immutable) generator, so memoise it on the chain: measures
+    # evaluated against the same chain (e.g. rho1 and rho2 on one
+    # RMGp instance) share a single factorisation.  Copy out so
+    # callers can never corrupt the cache.
+    cached = getattr(chain, "_direct_steady_cache", None)
+    if cached is None:
+        cached = _direct(chain.generator, n)
+        chain._direct_steady_cache = cached
+    return cached.copy()
 
 
-def steady_state_reward(chain: CTMC, rewards, method: str = "direct") -> float:
+def steady_state_reward(chain: CTMC, rewards) -> float:
     """Expected instant-of-time reward at steady state ``pi . r``."""
     r = validate_rewards(rewards, chain.num_states)
-    pi = steady_state_distribution(chain, method=method)
-    return float(pi @ r)
+    return float(steady_state_distribution(chain) @ r)
+
+
+def _closed_classes(q: sp.csr_matrix) -> int:
+    """Number of closed communicating classes of the generator ``q``.
+
+    A class is closed when no positive rate leaves it.  The direct
+    system is singular exactly when there is more than one.  Every
+    stored entry is an edge of the transition graph, so explicit zero
+    rates are dropped first; diagonal entries are self-loops, which do
+    not change the classes.
+    """
+    if not q.data.all():
+        q = q.copy()
+        q.eliminate_zeros()
+    count, labels = connected_components(q, directed=True, connection="strong")
+    if count == 1:
+        return 1
+    rows = np.repeat(np.arange(q.shape[0]), np.diff(q.indptr))
+    leaving = labels[rows] != labels[q.indices]
+    return count - np.unique(labels[rows[leaving]]).size
 
 
 def _direct(q: sp.csr_matrix, n: int) -> np.ndarray:
@@ -97,6 +86,12 @@ def _direct(q: sp.csr_matrix, n: int) -> np.ndarray:
     arrays — same values and structure as the historical
     ``tolil``-based row replacement, without its per-entry Python cost.
     """
+    closed = _closed_classes(q)
+    if closed > 1:
+        raise CTMCError(
+            f"the chain has {closed} closed classes, so it has no unique "
+            "stationary distribution"
+        )
     indptr, indices, data = q.indptr, q.indices, q.data
     keep = indices != n - 1
     kept_cumulative = np.concatenate(([0], np.cumsum(keep)))
@@ -122,71 +117,3 @@ def _direct(q: sp.csr_matrix, n: int) -> np.ndarray:
     if total <= 0:
         raise CTMCError("direct steady-state solve produced a zero vector")
     return pi / total
-
-
-def _power(chain: CTMC, tolerance: float, max_iterations: int) -> np.ndarray:
-    """Power iteration on the (aperiodic) uniformized DTMC."""
-    p, _rate = uniformize(chain.generator)
-    pi = np.full(chain.num_states, 1.0 / chain.num_states)
-    for iteration in range(max_iterations):
-        nxt = pi @ p
-        nxt_sum = nxt.sum()
-        if nxt_sum > 0:
-            nxt = nxt / nxt_sum
-        residual = float(np.abs(nxt - pi).max())
-        pi = nxt
-        if residual < tolerance:
-            return pi
-    raise ConvergenceError(
-        f"power method did not converge in {max_iterations} iterations",
-        iterations=max_iterations,
-        residual=residual,
-    )
-
-
-def _sor(
-    q: sp.csr_matrix,
-    n: int,
-    omega: float,
-    tolerance: float,
-    max_iterations: int,
-) -> np.ndarray:
-    """(Over-relaxed) Gauss–Seidel sweeps on ``Q^T x = 0``.
-
-    Solves the singular system by sweeping and renormalising; classic
-    formulation from the Markov-chain numerical literature (Stewart).
-    """
-    if not 0 < omega < 2:
-        raise CTMCError(f"SOR relaxation must be in (0, 2), got {omega}")
-    a = q.T.tocsr()
-    diag = a.diagonal()
-    if np.any(diag == 0):
-        raise CTMCError(
-            "SOR requires non-absorbing states (zero diagonal encountered)"
-        )
-    x = np.full(n, 1.0 / n)
-    indptr, indices, data = a.indptr, a.indices, a.data
-    for iteration in range(max_iterations):
-        prev = x.copy()
-        for i in range(n):
-            row_start, row_end = indptr[i], indptr[i + 1]
-            acc = 0.0
-            for pos in range(row_start, row_end):
-                j = indices[pos]
-                if j != i:
-                    acc += data[pos] * x[j]
-            gs = -acc / diag[i]
-            x[i] = (1.0 - omega) * x[i] + omega * gs
-        x = np.clip(x, 0.0, None)
-        total = x.sum()
-        if total <= 0:
-            raise CTMCError("SOR iterate collapsed to the zero vector")
-        x /= total
-        residual = float(np.abs(x - prev).max())
-        if residual < tolerance:
-            return x
-    raise ConvergenceError(
-        f"SOR did not converge in {max_iterations} iterations",
-        iterations=max_iterations,
-        residual=residual,
-    )

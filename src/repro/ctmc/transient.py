@@ -54,12 +54,6 @@ from scipy.sparse.linalg import expm_multiply
 
 from repro.ctmc import config
 from repro.ctmc.chain import CTMC
-from repro.ctmc.config import (  # noqa: F401  (re-exported compatibility names)
-    AUTO_STIFFNESS_THRESHOLD,
-    DENSE_STATE_LIMIT,
-    SPECTRAL_CONDITION_LIMIT,
-    SPECTRAL_STATE_LIMIT,
-)
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.linalg import validate_rewards
 from repro.ctmc.streaming import streaming_transient_grid
@@ -384,21 +378,3 @@ def instant_of_time_reward(
     r = validate_rewards(rewards, chain.num_states)
     pi_t = transient_distribution(chain, t, method=method, tolerance=tolerance)
     return float(pi_t @ r)
-
-
-def probability_in_set(
-    chain: CTMC,
-    states,
-    t: float,
-    method: str = "uniformization",
-) -> float:
-    """``P(X_t in A)`` for a set of state indices or labels.
-
-    ``states`` may contain integer indices or, when the chain is labelled,
-    state labels.
-    """
-    indicator = np.zeros(chain.num_states)
-    for s in states:
-        idx = s if isinstance(s, (int, np.integer)) else chain.state_index(s)
-        indicator[idx] = 1.0
-    return instant_of_time_reward(chain, indicator, t, method=method)

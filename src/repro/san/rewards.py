@@ -326,18 +326,14 @@ def time_averaged(
     return interval_of_time(compiled, structure, t) / t
 
 
-def steady_state(
-    compiled: CompiledSAN,
-    structure: RewardStructure,
-    method: str = "direct",
-) -> float:
+def steady_state(compiled: CompiledSAN, structure: RewardStructure) -> float:
     """Expected instant-of-time reward at steady state.
 
     Rate rewards contribute ``pi . r``; impulse rewards contribute
     ``value * throughput(activity)`` where throughput is the steady-state
     expected completion rate of the activity.
     """
-    pi = steady_state_distribution(compiled.chain, method=method)
+    pi = steady_state_distribution(compiled.chain)
     total = 0.0
     if structure.rate_rewards:
         total += float(pi @ structure.rate_vector(compiled))

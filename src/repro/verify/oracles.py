@@ -17,30 +17,42 @@ Tolerances (documented contract, asserted by the tests):
 * :data:`ACCUMULATED_TOLERANCE` — accumulated rewards scale with
   ``t * max|r|``; backends agree to ``1e-8`` relative to that scale.
 * :data:`STEADY_TOLERANCE` — stationary rewards agree to ``1e-7``
-  absolute (the iterative backends stop at their own ``1e-10``-ish
+  absolute (the iterative references stop at their own ``1e-10``-ish
   residuals, far inside this envelope).
 
-:func:`pade_transient_rows` and :func:`pade_transient_accumulated` are
-the reference for the ``dense-expm`` and ``augmented-expm`` backends:
-one independent ``scipy.linalg.expm`` per time point, which scales and
-squares ``A t`` on its own, where the backends share one chain of
-squarings across the grid.
+The slow reference solvers live here, beside the comparisons that are
+their only callers:
+
+* :func:`pade_transient_rows` and :func:`pade_transient_accumulated`
+  are the reference for the ``dense-expm`` and ``augmented-expm``
+  backends: one independent ``scipy.linalg.expm`` per time point, which
+  scales and squares ``A t`` on its own, where the backends share one
+  chain of squarings across the grid.
+* :func:`quadrature_accumulated` integrates the transient solution by
+  adaptive quadrature, independently per point.
+* :func:`power_steady_state`, :func:`gauss_seidel_steady_state` and
+  :func:`sor_steady_state` are the iterative stationary solvers
+  historically shipped in tools like UltraSAN; they check the one
+  direct solver of :mod:`repro.ctmc.steady_state`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from repro.ctmc.accumulated import ACCUMULATED_METHODS, accumulated_grid, accumulated_reward
 from repro.ctmc.chain import CTMC
+from repro.ctmc.errors import ConvergenceError, CTMCError
 from repro.ctmc.linalg import validate_rewards
-from repro.ctmc.steady_state import STEADY_METHODS, steady_state_reward
+from repro.ctmc.steady_state import steady_state_distribution
 from repro.ctmc.transient import (
     TRANSIENT_METHODS,
     transient_distribution,
     transient_grid,
 )
+from repro.ctmc.uniformization import _validate_time_grid, uniformize
 
 #: Absolute agreement tolerance for instant-of-time rewards.
 TRANSIENT_TOLERANCE = 1e-8
@@ -106,6 +118,113 @@ def pade_transient_accumulated(
     return result[:, :n], result[:, n]
 
 
+def quadrature_accumulated(chain: CTMC, rewards, times) -> np.ndarray:
+    """``int_0^t pi(u) r du`` per time, by adaptive quadrature over the
+    transient solution, each unique point integrated independently."""
+    grid = _validate_time_grid(times)
+    r = validate_rewards(rewards, chain.num_states)
+    unique, inverse = np.unique(grid, return_inverse=True)
+
+    def integrand(u: float) -> float:
+        return float(transient_distribution(chain, u) @ r)
+
+    out = np.array(
+        [quad(integrand, 0.0, float(t), limit=200)[0] for t in unique]
+    )
+    return out[inverse]
+
+
+def power_steady_state(
+    chain: CTMC, tolerance: float = 1e-12, max_iterations: int = 200_000
+) -> np.ndarray:
+    """Stationary distribution by power iteration on the (aperiodic)
+    uniformized DTMC.
+
+    Raises :class:`ConvergenceError` when successive iterates still
+    differ by ``tolerance`` after ``max_iterations`` steps.
+    """
+    p, _rate = uniformize(chain.generator)
+    pi = np.full(chain.num_states, 1.0 / chain.num_states)
+    for _ in range(max_iterations):
+        nxt = pi @ p
+        nxt_sum = nxt.sum()
+        if nxt_sum > 0:
+            nxt = nxt / nxt_sum
+        residual = float(np.abs(nxt - pi).max())
+        pi = nxt
+        if residual < tolerance:
+            return pi
+    raise ConvergenceError(
+        f"power method did not converge in {max_iterations} iterations",
+        iterations=max_iterations,
+        residual=residual,
+    )
+
+
+def sor_steady_state(
+    chain: CTMC,
+    relaxation: float = 1.2,
+    tolerance: float = 1e-12,
+    max_iterations: int = 200_000,
+) -> np.ndarray:
+    """Stationary distribution by (over-relaxed) Gauss–Seidel sweeps on
+    ``Q^T x = 0``.
+
+    Solves the singular system by sweeping and renormalising; classic
+    formulation from the Markov-chain numerical literature (Stewart).
+    """
+    if not 0 < relaxation < 2:
+        raise CTMCError(f"SOR relaxation must be in (0, 2), got {relaxation}")
+    n = chain.num_states
+    a = chain.generator.T.tocsr()
+    diag = a.diagonal()
+    if np.any(diag == 0):
+        raise CTMCError(
+            "SOR requires non-absorbing states (zero diagonal encountered)"
+        )
+    x = np.full(n, 1.0 / n)
+    indptr, indices, data = a.indptr, a.indices, a.data
+    for _ in range(max_iterations):
+        prev = x.copy()
+        for i in range(n):
+            acc = 0.0
+            for pos in range(indptr[i], indptr[i + 1]):
+                j = indices[pos]
+                if j != i:
+                    acc += data[pos] * x[j]
+            gs = -acc / diag[i]
+            x[i] = (1.0 - relaxation) * x[i] + relaxation * gs
+        x = np.clip(x, 0.0, None)
+        total = x.sum()
+        if total <= 0:
+            raise CTMCError("SOR iterate collapsed to the zero vector")
+        x /= total
+        residual = float(np.abs(x - prev).max())
+        if residual < tolerance:
+            return x
+    raise ConvergenceError(
+        f"SOR did not converge in {max_iterations} iterations",
+        iterations=max_iterations,
+        residual=residual,
+    )
+
+
+def gauss_seidel_steady_state(
+    chain: CTMC, tolerance: float = 1e-12, max_iterations: int = 200_000
+) -> np.ndarray:
+    """Stationary distribution by Gauss–Seidel sweeps: SOR without
+    relaxation."""
+    return sor_steady_state(chain, 1.0, tolerance, max_iterations)
+
+
+#: The iterative steady-state references, by name.
+STEADY_REFERENCES = {
+    "power": power_steady_state,
+    "gauss-seidel": gauss_seidel_steady_state,
+    "sor": sor_steady_state,
+}
+
+
 def transient_reward_by_method(
     chain: CTMC, reward: np.ndarray, t: float
 ) -> dict[str, float]:
@@ -132,27 +251,35 @@ def accumulated_reward_by_method(
     """The accumulated reward over ``[0, t]`` from every backend.
 
     Keys as in :func:`transient_reward_by_method`, over
-    :data:`ACCUMULATED_METHODS`.
+    :data:`ACCUMULATED_METHODS` plus the ``"quadrature"`` reference.
     """
     reward = np.asarray(reward, dtype=np.float64)
     grid = np.array([0.5 * t, t]) if t > 0 else np.array([t])
+    at = np.searchsorted(grid, t)
     values: dict[str, float] = {}
     for method in ACCUMULATED_METHODS:
         values[f"scalar:{method}"] = float(
             accumulated_reward(chain, reward, t, method=method)
         )
         rows = accumulated_grid(chain, reward, grid, method=method)
-        values[f"grid:{method}"] = float(rows[np.searchsorted(grid, t)])
+        values[f"grid:{method}"] = float(rows[at])
+    values["scalar:quadrature"] = float(
+        quadrature_accumulated(chain, reward, [t])[0]
+    )
+    values["grid:quadrature"] = float(
+        quadrature_accumulated(chain, reward, grid)[at]
+    )
     return values
 
 
 def steady_reward_by_method(chain: CTMC, reward: np.ndarray) -> dict[str, float]:
-    """The stationary reward from every steady-state backend."""
+    """The stationary reward from the direct solver and every
+    iterative reference."""
     reward = np.asarray(reward, dtype=np.float64)
-    return {
-        method: float(steady_state_reward(chain, reward, method=method))
-        for method in STEADY_METHODS
-    }
+    values = {"direct": float(steady_state_distribution(chain) @ reward)}
+    for name, reference in STEADY_REFERENCES.items():
+        values[name] = float(reference(chain) @ reward)
+    return values
 
 
 def max_disagreement(values: dict[str, float]) -> float:

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ctmc.accumulated import (
-    ACCUMULATED_METHODS,
-    accumulated_reward,
-    averaged_interval_reward,
-    time_in_set,
-)
+from repro.ctmc.accumulated import ACCUMULATED_METHODS, accumulated_reward
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
+from repro.verify.oracles import quadrature_accumulated
 
 
 class TestBackends:
@@ -22,7 +18,10 @@ class TestBackends:
         mu = 0.4
         chain = CTMC.two_state_failure(mu)
         t = 3.0
-        value = accumulated_reward(chain, [1.0, 0.0], t, method=method)
+        if method == "quadrature":
+            value = quadrature_accumulated(chain, [1.0, 0.0], [t])[0]
+        else:
+            value = accumulated_reward(chain, [1.0, 0.0], t, method=method)
         expected = (1 - np.exp(-mu * t)) / mu
         assert value == pytest.approx(expected, rel=1e-6)
 
@@ -49,7 +48,6 @@ class TestBackends:
             "uniformization",
             "augmented-expm",
             "augmented-krylov",
-            "quadrature",
             "auto",
         }
 
@@ -77,40 +75,37 @@ class TestValidation:
 
 
 class TestAveraged:
-    def test_average_is_total_over_t(self, birth_death_chain):
-        rewards = [1.0, 0.5, 0.25, 0.0]
-        total = accumulated_reward(birth_death_chain, rewards, 8.0)
-        avg = averaged_interval_reward(birth_death_chain, rewards, 8.0)
-        assert avg == pytest.approx(total / 8.0)
-
-    def test_rejects_zero_interval(self, birth_death_chain):
-        with pytest.raises(CTMCError):
-            averaged_interval_reward(birth_death_chain, np.ones(4), 0.0)
-
     def test_long_run_average_approaches_stationary_reward(
         self, birth_death_chain, mm13_stationary
     ):
         rewards = np.array([0.0, 1.0, 2.0, 3.0])
-        avg = averaged_interval_reward(birth_death_chain, rewards, 2000.0)
+        avg = accumulated_reward(birth_death_chain, rewards, 2000.0) / 2000.0
         assert avg == pytest.approx(float(mm13_stationary @ rewards), rel=1e-3)
 
 
 class TestTimeInSet:
+    """The expected time spent in a state set is the accumulated reward
+    of the set's indicator."""
+
     def test_time_in_absorbing_state(self):
         mu = 0.5
         chain = CTMC.two_state_failure(mu)
         t = 4.0
-        downtime = time_in_set(chain, [1], t)
+        downtime = accumulated_reward(chain, [0.0, 1.0], t)
         uptime = (1 - np.exp(-mu * t)) / mu
         assert downtime == pytest.approx(t - uptime, rel=1e-8)
 
     def test_time_in_labelled_set(self):
         chain = CTMC.two_state_failure(0.5)
-        assert time_in_set(chain, ["up"], 2.0) == pytest.approx(
+        up = chain.indicator(lambda label: label == "up")
+        assert accumulated_reward(chain, up, 2.0) == pytest.approx(
             (1 - np.exp(-1.0)) / 0.5, rel=1e-8
         )
 
     def test_times_partition_horizon(self, birth_death_chain):
         t = 6.0
-        total = sum(time_in_set(birth_death_chain, [i], t) for i in range(4))
+        total = sum(
+            accumulated_reward(birth_death_chain, np.eye(4)[i], t)
+            for i in range(4)
+        )
         assert total == pytest.approx(t, rel=1e-9)

@@ -1,6 +1,9 @@
 """Tests for the unified solver-dispatch configuration."""
 
+import re
 import threading
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +29,9 @@ class TestLimits:
         assert effective.spectral_condition_limit == (
             config.SPECTRAL_CONDITION_LIMIT
         )
-        assert effective.direct_steady_limit == config.DIRECT_STEADY_LIMIT
         assert effective.max_uniformization_terms == (
             config.MAX_UNIFORMIZATION_TERMS
         )
-        assert effective.lump_loop_limit == config.LUMP_LOOP_LIMIT
 
     def test_no_overrides_returns_shared_defaults(self):
         # Without environment overrides the same (immutable) instance
@@ -47,15 +48,15 @@ class TestLimits:
 
     def test_env_override_int_field_accepts_float_syntax(self, monkeypatch):
         # "1e5" is a natural way to write a state-count limit.
-        monkeypatch.setenv("REPRO_DIRECT_STEADY_LIMIT", "1e5")
-        assert limits().direct_steady_limit == 100_000
+        monkeypatch.setenv("REPRO_MAX_UNIFORMIZATION_TERMS", "1e5")
+        assert limits().max_uniformization_terms == 100_000
 
     def test_env_override_read_at_call_time(self, monkeypatch):
-        before = limits().lump_loop_limit
-        monkeypatch.setenv("REPRO_LUMP_LOOP_LIMIT", "3")
-        assert limits().lump_loop_limit == 3
-        monkeypatch.delenv("REPRO_LUMP_LOOP_LIMIT")
-        assert limits().lump_loop_limit == before
+        before = limits().spectral_state_limit
+        monkeypatch.setenv("REPRO_SPECTRAL_STATE_LIMIT", "3")
+        assert limits().spectral_state_limit == 3
+        monkeypatch.delenv("REPRO_SPECTRAL_STATE_LIMIT")
+        assert limits().spectral_state_limit == before
 
     def test_unrelated_fields_keep_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_STATE_LIMIT", "1")
@@ -75,6 +76,15 @@ class TestLimits:
     def test_solver_limits_is_plain_dataclass(self):
         custom = SolverLimits(dense_state_limit=2)
         assert custom.dense_state_limit == 2
+
+    def test_architecture_table_lists_every_limit(self):
+        # The cutoff table in docs/architecture.md names exactly the
+        # fields of SolverLimits, in their module-constant spelling.
+        doc = Path(__file__).resolve().parents[2] / "docs" / "architecture.md"
+        rows = re.findall(r"^\| `([A-Z_]+)` \|", doc.read_text(), re.MULTILINE)
+        assert sorted(rows) == sorted(
+            spec.name.upper() for spec in fields(SolverLimits)
+        )
 
 
 class TestDispatchCounters:

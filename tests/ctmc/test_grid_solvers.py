@@ -22,10 +22,9 @@ from repro.ctmc.accumulated import (
     transient_accumulated_grid,
 )
 from repro.ctmc.chain import CTMC
+from repro.ctmc.config import DENSE_STATE_LIMIT, SPECTRAL_STATE_LIMIT
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.transient import (
-    DENSE_STATE_LIMIT,
-    SPECTRAL_STATE_LIMIT,
     TRANSIENT_METHODS,
     transient_distribution,
     transient_grid,

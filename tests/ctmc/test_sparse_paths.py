@@ -3,9 +3,8 @@
 Two layers of guarantees:
 
 * **Property tests** (hypothesis): on random small chains the Krylov
-  transient backends, the augmented-Krylov accumulated backends, and
-  the iterative steady-state fallback agree with their dense
-  counterparts to solver tolerance.
+  transient backends and the augmented-Krylov accumulated backends
+  agree with their dense counterparts to solver tolerance.
 * **Paper-model pinning**: on the FIG9-12 constituent models (the
   dense regime) ``auto`` dispatch must keep choosing the historical
   backend — uniformization — and produce *bitwise* the same vectors it
@@ -25,7 +24,6 @@ from repro.ctmc.accumulated import (
     transient_accumulated_grid,
 )
 from repro.ctmc.chain import CTMC
-from repro.ctmc.steady_state import steady_state_distribution
 from repro.ctmc.transient import transient_distribution, transient_grid
 from repro.gsu.models.rm_gd import build_rm_gd
 from repro.gsu.models.rm_gp import build_rm_gp
@@ -42,20 +40,6 @@ def chains(draw, min_states=2, max_states=8):
     rates = {}
     for i in range(n - 1):
         rates[(i, i + 1)] = draw(rate_values)
-    extra = draw(st.integers(0, 2 * n))
-    for _ in range(extra):
-        src = draw(st.integers(0, n - 1))
-        dst = draw(st.integers(0, n - 1))
-        if src != dst:
-            rates[(src, dst)] = draw(rate_values)
-    return CTMC.from_rates(n, rates)
-
-
-@st.composite
-def irreducible_chains(draw, min_states=2, max_states=8):
-    n = draw(st.integers(min_states, max_states))
-    rate_values = st.floats(0.05, 4.0, allow_nan=False, allow_infinity=False)
-    rates = {(i, (i + 1) % n): draw(rate_values) for i in range(n)}
     extra = draw(st.integers(0, 2 * n))
     for _ in range(extra):
         src = draw(st.integers(0, n - 1))
@@ -168,34 +152,6 @@ class TestAugmentedKrylovAccumulated:
         acc_ref = accumulated_grid(chain, rewards, ts, method="augmented-expm")
         assert np.allclose(rows, rows_ref, atol=1e-7)
         assert np.allclose(acc, acc_ref, atol=1e-7)
-
-
-class TestSteadyAutoDispatch:
-    @given(chain=irreducible_chains())
-    @settings(max_examples=40, deadline=None)
-    def test_auto_matches_direct_below_limit(self, chain):
-        auto = steady_state_distribution(chain, method="auto")
-        direct = steady_state_distribution(chain, method="direct")
-        assert np.allclose(auto, direct, atol=1e-10)
-
-    @given(chain=irreducible_chains())
-    @settings(max_examples=30, deadline=None)
-    def test_iterative_fallback_matches_direct(self, chain):
-        power = steady_state_distribution(chain, method="power")
-        direct = steady_state_distribution(chain, method="direct")
-        assert np.allclose(power, direct, atol=1e-8)
-
-    def test_auto_respects_direct_steady_limit(self, monkeypatch):
-        chain = CTMC.from_rates(3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
-        config.reset_dispatch_counts()
-        monkeypatch.setenv("REPRO_DIRECT_STEADY_LIMIT", "1")
-        above = steady_state_distribution(chain, method="auto")
-        monkeypatch.delenv("REPRO_DIRECT_STEADY_LIMIT")
-        below = steady_state_distribution(chain, method="auto")
-        counts = config.dispatch_counts()
-        assert counts.get("steady-iterative", 0) >= 1
-        assert counts.get("steady-direct", 0) >= 1
-        assert np.allclose(above, below, atol=1e-8)
 
 
 def _paper_chains():

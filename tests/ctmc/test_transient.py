@@ -8,7 +8,6 @@ from repro.ctmc.errors import CTMCError
 from repro.ctmc.transient import (
     TRANSIENT_METHODS,
     instant_of_time_reward,
-    probability_in_set,
     transient_distribution,
 )
 
@@ -93,21 +92,25 @@ class TestInstantOfTimeReward:
 
 
 class TestProbabilityInSet:
+    """``P(X_t in A)`` is the instant-of-time reward of ``A``'s
+    indicator."""
+
     def test_by_index(self, two_state_chain):
-        p = probability_in_set(two_state_chain, [1], 2.0)
+        p = instant_of_time_reward(two_state_chain, [0.0, 1.0], 2.0)
         assert p == pytest.approx(1 - np.exp(-1.0), rel=1e-8)
 
     def test_by_label(self):
         chain = CTMC.two_state_failure(0.5)
-        p = probability_in_set(chain, ["up"], 2.0)
+        up = chain.indicator(lambda label: label == "up")
+        p = instant_of_time_reward(chain, up, 2.0)
         assert p == pytest.approx(np.exp(-1.0), rel=1e-8)
 
     def test_full_set_has_probability_one(self, birth_death_chain):
-        p = probability_in_set(birth_death_chain, [0, 1, 2, 3], 5.0)
+        p = instant_of_time_reward(birth_death_chain, np.ones(4), 5.0)
         assert p == pytest.approx(1.0, abs=1e-10)
 
     def test_empty_set_has_probability_zero(self, birth_death_chain):
-        assert probability_in_set(birth_death_chain, [], 5.0) == 0.0
+        assert instant_of_time_reward(birth_death_chain, np.zeros(4), 5.0) == 0.0
 
 
 class TestTransientGrid:

@@ -124,6 +124,37 @@ class TestMoments:
         with pytest.raises(ValueError):
             accumulated_moments(up_down, [1.0, 0.0], -1.0)
 
+    def test_constant_reward_has_zero_variance(self, birth_death_chain):
+        mean, variance = accumulated_moments(birth_death_chain, np.ones(4), 5.0)
+        assert mean == pytest.approx(5.0)
+        assert variance == pytest.approx(0.0, abs=1e-8)
+
+    def test_variance_matches_san_simulation(self, simple_san):
+        from repro.san.ctmc_builder import build_ctmc
+        from repro.san.rewards import RewardStructure
+        from repro.san.simulate import SANSimulator
+
+        compiled = build_ctmc(simple_san)
+        structure = RewardStructure.from_pairs(
+            "in_a", [(lambda m: m["a"] == 1, 1.0)]
+        )
+        t = 6.0
+        mean, variance = accumulated_moments(
+            compiled.chain, structure.rate_vector(compiled), t
+        )
+
+        sim = SANSimulator(simple_san, seed=13)
+        samples = []
+        for _ in range(3000):
+            total = 0.0
+            for _entry, marking, dwell in sim.run_trajectory(t):
+                if marking["a"] == 1:
+                    total += dwell
+            samples.append(total)
+        samples = np.asarray(samples)
+        assert samples.mean() == pytest.approx(mean, rel=0.03)
+        assert samples.std() == pytest.approx(math.sqrt(variance), rel=0.08)
+
 
 class TestBetaMixture:
     def test_cdf_is_monotone_and_bounded(self, birth_death_chain):

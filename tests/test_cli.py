@@ -238,6 +238,17 @@ class TestMeasure:
         assert status == 2
         assert "--at" in capsys.readouterr().err
 
+    def test_steady_without_unique_stationary_errors(self, capsys):
+        # RMGd has 18 absorbing states, so no unique stationary law.
+        status = main([
+            "measure", "rmgd", "--predicate", "MARK(failure)==1",
+            "--solution", "steady",
+        ])
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "no unique stationary distribution" in captured.err
+        assert "nan" not in captured.out
+
 
 class TestSolve:
     @pytest.fixture
@@ -276,6 +287,26 @@ class TestSolve:
             "solve", model_file, "--predicate", "MARK(up)==1",
             "--solution", "accumulated",
         ]) == 2
+
+    def test_steady_without_unique_stationary_errors(self, capsys, tmp_path):
+        # Two competing failure modes, each absorbing.
+        spec = {
+            "name": "two_ways_down",
+            "places": [
+                {"name": "up", "initial": 1}, {"name": "crashed"},
+                {"name": "hung"},
+            ],
+            "activities": [
+                {"name": "crash", "rate": 0.01, "consumes": ["up"],
+                 "cases": [{"produces": ["crashed"]}]},
+                {"name": "hang", "rate": 0.02, "consumes": ["up"],
+                 "cases": [{"produces": ["hung"]}]},
+            ],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", str(path), "--predicate", "MARK(up)==1"]) == 2
+        assert "no unique stationary distribution" in capsys.readouterr().err
 
 
 class TestRuntimeFlagValidation:

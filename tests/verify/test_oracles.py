@@ -114,7 +114,7 @@ class TestSteadyOracle:
             {"seed": 3, "num_states": 5, "rate_scale": 1.0}, irreducible=True
         )
         values = steady_reward_by_method(chain, reward)
-        assert set(values) == {"direct", "power", "gauss-seidel", "sor", "auto"}
+        assert set(values) == {"direct", "power", "gauss-seidel", "sor"}
 
 
 class TestConstituentPaths:
