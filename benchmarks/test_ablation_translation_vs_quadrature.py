@@ -16,7 +16,6 @@ translation and the second-order term the paper neglects in Eq. 19.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import publish_report
 from repro.ctmc.transient import transient_grid

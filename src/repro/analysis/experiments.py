@@ -28,7 +28,7 @@ from repro.analysis.plotting import ascii_curves
 from repro.analysis.sweep import SweepResult
 from repro.analysis.tables import format_table, optimum_table, sweep_table
 from repro.gsu.measures import ConstituentSolver
-from repro.gsu.parameters import PAPER_TABLE3, GSUParameters
+from repro.gsu.parameters import PAPER_TABLE3
 from repro.runtime.campaign import run_campaign
 from repro.runtime.spec import figure_campaign
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.gsu.measures import ConstituentSolver
 from repro.gsu.optimizer import find_optimal_phi
 from repro.gsu.parameters import GSUParameters
 

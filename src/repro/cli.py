@@ -23,6 +23,11 @@ Model-bound commands accept the Table 3 parameter overrides
 ``optimal``, ``experiment``, ``campaign``) accept the campaign-runtime
 flags (``--jobs``, ``--backend``, ``--cache-dir``, ``--no-cache``,
 ``--run-dir``, ``--no-batch``, ``--no-parametric``).
+
+Every verb validates its input through :mod:`repro.query`, the same
+rules ``repro serve`` applies to HTTP bodies.  Exit status: 0 success,
+1 a failed verdict or claim (``experiment``, ``verify``, ``validate``,
+``synthesize --validate``), 2 bad input.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from repro import query
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.plotting import ascii_curves
 from repro.analysis.sweep import run_sweep
@@ -50,56 +56,79 @@ from repro.gsu.performability import evaluate_index
 from repro.gsu.validation import SCALED_VALIDATION_PARAMS, validate_constituents
 from repro.runtime.campaign import RuntimeConfig, run_campaign, use_config
 from repro.runtime.executor import BACKENDS
-from repro.runtime.spec import (
-    FIGURE_CAMPAIGNS,
-    CampaignSpec,
-    default_grid,
-    figure_campaign,
-)
+from repro.runtime.spec import FIGURE_CAMPAIGNS, CampaignSpec, figure_campaign
 from repro.san.export import graph_to_dict, model_to_dict, model_to_dot
 from repro.san.reachability import explore
-
-_PARAM_FLAGS = (
-    ("theta", float),
-    ("lam", float),
-    ("mu_new", float),
-    ("mu_old", float),
-    ("coverage", float),
-    ("p_ext", float),
-    ("alpha", float),
-    ("beta", float),
-)
 
 
 def _add_parameter_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model parameters (Table 3 overrides)")
-    for name, kind in _PARAM_FLAGS:
-        group.add_argument(
-            f"--{name.replace('_', '-')}", type=kind, default=None,
-            dest=name,
-        )
+    for name in query.PARAM_FIELDS:
+        group.add_argument(f"--{name.replace('_', '-')}", type=float, dest=name)
 
 
-def _params_from(args: argparse.Namespace, base: GSUParameters) -> GSUParameters:
-    overrides = {
-        name: getattr(args, name)
-        for name, _kind in _PARAM_FLAGS
-        if getattr(args, name, None) is not None
-    }
-    return base.with_overrides(**overrides) if overrides else base
+def _params(args: argparse.Namespace, base=PAPER_TABLE3) -> GSUParameters:
+    """``base`` with the Table 3 overrides given on the command line."""
+    flags = {name: getattr(args, name) for name in query.PARAM_FIELDS}
+    return query.gsu_params({k: v for k, v in flags.items() if v is not None}, base)
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: an integer >= 1, rejected with a clear message."""
+def _at_least(kind, low, what: str):
+    """Argparse type: a ``kind`` value >= ``low``, with a clear message."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {what} >= {low}, got {text!r}"
+            ) from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _at_least(int, 1, "an integer")
+_non_negative = _at_least(float, 0, "a number")
+
+
+def _phi_list(text: str) -> list[float]:
+    """Argparse type: a non-empty comma-separated list of numbers."""
     try:
-        value = int(text)
+        phis = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
+        phis = []
+    if not phis:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+            f"expected comma-separated numbers, got {text!r}"
+        )
+    return phis
+
+
+def _names(text: str) -> list[str]:
+    """Argparse type: a comma-separated list of names."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _named_values(metavar: str, *kinds):
+    """Argparse type for ``NAME=V1:V2...`` -> ``(name, v1, v2, ...)``,
+    one converter in ``kinds`` per value."""
+
+    def parse(text: str) -> tuple:
+        name, sep, values = text.partition("=")
+        parts = values.split(":")
+        try:
+            if not sep or len(parts) != len(kinds):
+                raise ValueError(text)
+            return (name.strip(), *(kind(v) for kind, v in zip(kinds, parts)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad {text!r} (expected {metavar})"
+            ) from None
+
+    return parse
 
 
 def _cache_dir_arg(text: str) -> str:
@@ -167,8 +196,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _runtime_config_from(args: argparse.Namespace) -> RuntimeConfig:
-    if args.jobs < 1:
-        raise SystemExit(f"error: --jobs must be >= 1, got {args.jobs}")
     backend = args.backend
     if backend is None:
         backend = "process" if args.jobs > 1 else "serial"
@@ -181,6 +208,32 @@ def _runtime_config_from(args: argparse.Namespace) -> RuntimeConfig:
         batch=not args.no_batch,
         parametric=not args.no_parametric,
         memory_cache=0 if args.no_cache or memory_cache is None else memory_cache,
+    )
+
+
+def _add_gsu_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("model", choices=["rmgd", "rmgp", "rmnd"])
+    parser.add_argument(
+        "--rate", choices=["new", "old"], default="new",
+        help="first-component fault rate for rmnd",
+    )
+    _add_parameter_flags(parser)
+
+
+def _add_reward_flags(parser: argparse.ArgumentParser, solution: str) -> None:
+    parser.add_argument(
+        "--predicate", action="append", required=True, metavar="EXPR[:RATE]",
+        help="predicate-rate pair over the model's places, e.g. "
+             "'MARK(detected)==1 && MARK(failure)==0:1.0' "
+             "(rate defaults to 1; repeatable)",
+    )
+    parser.add_argument(
+        "--solution", choices=["instant", "accumulated", "steady"],
+        default=solution,
+    )
+    parser.add_argument(
+        "--at", type=_non_negative, default=None,
+        help="time horizon for instant/accumulated solutions",
     )
 
 
@@ -253,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
              "shared repair facility",
     )
     fleet.add_argument(
-        "--phis", default=None, metavar="P1,P2,...",
+        "--phis", type=_phi_list, default=None, metavar="P1,P2,...",
         help="comma-separated phi grid (default: 11 points over [0, theta])",
     )
     fleet.add_argument(
@@ -297,12 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
              "report distribution-level measures of accumulated reward",
     )
     synthesize.add_argument(
-        "--levers", default="phi", metavar="L1,L2,...",
+        "--levers", type=_names, default="phi", metavar="L1,L2,...",
         help="comma-separated levers to search jointly; 'phi' is "
              "required (default: phi alone)",
     )
     synthesize.add_argument(
-        "--bounds", action="append", default=[], metavar="NAME=LO:HI",
+        "--bounds", type=_named_values("NAME=LO:HI", float, float),
+        action="append", default=[], metavar="NAME=LO:HI",
         help="override a lever's box bounds (repeatable)",
     )
     synthesize.add_argument(
@@ -441,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
              "spec (default 10)",
     )
     sfit.add_argument(
-        "--axis", action="append", default=[], metavar="NAME=LO:HI:DEG",
+        "--axis", type=_named_values("NAME=LO:HI:DEG", float, float, int),
+        action="append", default=[], metavar="NAME=LO:HI:DEG",
         help="custom box axis (repeatable; first must be phi); "
              "overrides --spec presets entirely when given",
     )
@@ -472,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seval.add_argument("artifact", help="path to a surrogate artifact")
     seval.add_argument(
-        "--phis", default=None, metavar="P1,P2,...",
+        "--phis", type=_phi_list, default=None, metavar="P1,P2,...",
         help="phi grid to evaluate (default: the artifact's phi box "
              "sampled at 11 points)",
     )
@@ -499,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
              "scaled (fast dynamics; default)",
     )
     verify.add_argument(
-        "--phis", default=None, metavar="P1,P2,...",
+        "--phis", type=_phi_list, default=None, metavar="P1,P2,...",
         help="override the profile's phi grid (comma-separated)",
     )
     verify.add_argument(
@@ -521,57 +576,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runtime_flags(verify)
 
-    validate = sub.add_parser(
-        "validate",
-        help="cross-validate reward models against protocol simulation "
-             "(defaults to the scaled validation parameter set)",
-    )
-    validate.add_argument("--phi", type=float, default=10.0)
-    validate.add_argument("--replications", type=int, default=300)
-    validate.add_argument("--seed", type=int, default=0)
-    _add_parameter_flags(validate)
-
-    hybrid = sub.add_parser(
-        "hybrid",
-        help="hybrid evaluation: X' constituents from protocol simulation "
-             "(defaults to the scaled validation parameter set)",
-    )
-    hybrid.add_argument("--phi", type=float, default=10.0)
-    hybrid.add_argument("--replications", type=int, default=300)
-    hybrid.add_argument("--seed", type=int, default=0)
-    _add_parameter_flags(hybrid)
+    for name, summary in (
+        ("validate", "cross-validate reward models against protocol simulation"),
+        ("hybrid", "hybrid evaluation: X' constituents from protocol simulation"),
+    ):
+        simulated = sub.add_parser(
+            name,
+            help=f"{summary} (defaults to the scaled validation parameter set)",
+        )
+        simulated.add_argument("--phi", type=float, default=10.0)
+        simulated.add_argument("--replications", type=_positive_int, default=300)
+        simulated.add_argument("--seed", type=int, default=0)
+        _add_parameter_flags(simulated)
 
     measure = sub.add_parser(
         "measure",
         help="solve a custom reward measure on a GSU model from a "
              "textual predicate (UltraSAN MARK() syntax)",
     )
-    measure.add_argument("model", choices=["rmgd", "rmgp", "rmnd"])
-    measure.add_argument(
-        "--predicate",
-        action="append",
-        required=True,
-        metavar="EXPR[:RATE]",
-        help="predicate-rate pair, e.g. "
-             "'MARK(detected)==1 && MARK(failure)==0:1.0' "
-             "(rate defaults to 1; repeatable)",
-    )
-    measure.add_argument(
-        "--solution",
-        choices=["instant", "accumulated", "steady"],
-        default="instant",
-    )
-    measure.add_argument(
-        "--at", type=float, default=None,
-        help="time horizon for instant/accumulated solutions",
-    )
-    measure.add_argument(
-        "--rate",
-        choices=["new", "old"],
-        default="new",
-        help="first-component fault rate for rmnd",
-    )
-    _add_parameter_flags(measure)
+    _add_gsu_model_flags(measure)
+    _add_reward_flags(measure, solution="instant")
 
     report = sub.add_parser(
         "report",
@@ -590,43 +614,24 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "model_file", help="path to a declarative JSON model specification"
     )
-    solve.add_argument(
-        "--predicate",
-        action="append",
-        required=True,
-        metavar="EXPR[:RATE]",
-        help="predicate-rate pair over the model's places (repeatable)",
-    )
-    solve.add_argument(
-        "--solution",
-        choices=["instant", "accumulated", "steady"],
-        default="steady",
-    )
-    solve.add_argument("--at", type=float, default=None)
+    _add_reward_flags(solve, solution="steady")
 
     export = sub.add_parser(
         "export-model", help="export a SAN reward model (DOT or JSON)"
     )
-    export.add_argument("model", choices=["rmgd", "rmgp", "rmnd"])
+    _add_gsu_model_flags(export)
     export.add_argument(
         "--format", choices=["dot", "json", "states"], default="dot"
     )
-    export.add_argument(
-        "--rate",
-        choices=["new", "old"],
-        default="new",
-        help="first-component fault rate for rmnd",
-    )
-    _add_parameter_flags(export)
 
     return parser
 
 
 def _cmd_evaluate(args) -> int:
-    params = _params_from(args, PAPER_TABLE3)
-    solver = ConstituentSolver(params)
-    evaluation = evaluate_index(params, args.phi, solver=solver)
-    print(f"Y({args.phi:g}) = {evaluation.value:.6f}")
+    params = _params(args)
+    [phi] = query.phi_grid(params, [args.phi])
+    evaluation = evaluate_index(params, phi, solver=ConstituentSolver(params))
+    print(f"Y({phi:g}) = {evaluation.value:.6f}")
     print(f"E[W_I]   = {evaluation.worth.ideal:.2f}")
     print(f"E[W_0]   = {evaluation.worth.unguarded:.2f}")
     print(f"E[W_phi] = {evaluation.worth.guarded:.2f} "
@@ -639,7 +644,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    params = _params_from(args, PAPER_TABLE3)
+    params = _params(args)
+    query.phi_grid(params, step=args.step)
     with use_config(_runtime_config_from(args)):
         sweep = run_sweep(params, step=args.step)
     print(sweep_table([sweep], title="Y(phi)"))
@@ -652,7 +658,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    params = _params_from(args, PAPER_TABLE3)
+    params = _params(args)
+    query.phi_grid(params, step=args.step)
     with use_config(_runtime_config_from(args)):
         result = find_optimal_phi(params, step=args.step, refine=args.refine)
     verdict = "beneficial" if result.beneficial else "NOT beneficial"
@@ -673,34 +680,39 @@ def _cmd_experiment(args) -> int:
     return status
 
 
+def _print_cache_stats(stats, tiers=None) -> None:
+    print(
+        f"cache: {stats.hits} hits, {stats.misses} misses, "
+        f"{stats.corrupt} corrupt, {stats.writes} writes "
+        f"(hit rate {stats.hit_rate:.0%})"
+    )
+    for tier, tier_stats in (tiers or {}).items():
+        print(
+            f"  {tier} tier: {tier_stats.hits} hits, "
+            f"{tier_stats.misses} misses, "
+            f"{tier_stats.evictions} evictions "
+            f"(hit rate {tier_stats.hit_rate:.0%})"
+        )
+
+
 def _cmd_campaign(args) -> int:
     if (args.target is None) == (args.spec is None):
-        print(
-            "error: give exactly one of a figure id (FIG9..FIG12, all) "
-            "or --spec FILE",
-            file=sys.stderr,
+        raise query.QueryError(
+            "give exactly one of a figure id (FIG9..FIG12, all) or --spec FILE"
         )
-        return 2
+    step = None if args.step is None else query.positive(args.step, "step")
     if args.spec is not None:
-        try:
-            with open(args.spec) as handle:
-                specs = [CampaignSpec.from_json(handle.read())]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: bad campaign spec {args.spec}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.step is not None:
-            specs = [spec.with_step(args.step) for spec in specs]
+        spec = query.load_file(args.spec, CampaignSpec.from_json, "campaign spec")
+        specs = [spec if step is None else spec.with_step(step)]
     else:
         ids = (
             sorted(FIGURE_CAMPAIGNS)
             if args.target == "all"
             else [args.target]
         )
-        specs = [figure_campaign(i, step=args.step) for i in ids]
+        specs = [figure_campaign(i, step=step) for i in ids]
 
     config = _runtime_config_from(args)
-    status = 0
     with use_config(config):
         for spec in specs:
             result = run_campaign(spec)
@@ -718,24 +730,11 @@ def _cmd_campaign(args) -> int:
                 f"solver {result.solver_seconds:.2f}s"
             )
             if result.cache_stats is not None:
-                stats = result.cache_stats
-                print(
-                    f"cache: {stats.hits} hits, {stats.misses} misses, "
-                    f"{stats.corrupt} corrupt, {stats.writes} writes "
-                    f"(hit rate {stats.hit_rate:.0%})"
-                )
-                if result.cache_tier_stats is not None:
-                    for tier, tier_stats in result.cache_tier_stats.items():
-                        print(
-                            f"  {tier} tier: {tier_stats.hits} hits, "
-                            f"{tier_stats.misses} misses, "
-                            f"{tier_stats.evictions} evictions "
-                            f"(hit rate {tier_stats.hit_rate:.0%})"
-                        )
+                _print_cache_stats(result.cache_stats, result.cache_tier_stats)
             if result.artifacts is not None:
                 print(f"manifest: {result.artifacts.manifest_path}")
             print()
-    return status
+    return 0
 
 
 def _cmd_fleet(args) -> int:
@@ -744,46 +743,24 @@ def _cmd_fleet(args) -> int:
     from repro.runtime.executor import execute_fleet_tasks
     from repro.runtime.tasks import plan_fleet_tasks
 
-    if args.phis is not None and args.step is not None:
-        print("error: give at most one of --phis and --step", file=sys.stderr)
-        return 2
-    base = _params_from(args, PAPER_TABLE3)
-    try:
-        params = FleetParameters.from_gsu(
-            base,
-            n_processes=args.processes,
-            repair_servers=args.repair_servers,
-            repair_rate=args.repair_rate,
-        )
-        if args.upgraded is not None or args.mu_legacy is not None:
-            params = params.with_overrides(
-                n_upgraded=args.upgraded, mu_legacy=args.mu_legacy
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.phis is not None:
-        try:
-            phis = [float(p) for p in args.phis.split(",") if p.strip()]
-        except ValueError:
-            print(f"error: bad --phis {args.phis!r}", file=sys.stderr)
-            return 2
-    elif args.step is not None:
-        try:
-            phis = default_grid(params.theta, step=args.step)
-        except ValueError as exc:
-            print(f"error: bad --step: {exc}", file=sys.stderr)
-            return 2
-    else:
+    params = query.fleet_params(
+        {
+            "n_processes": args.processes,
+            "repair_servers": args.repair_servers,
+            "repair_rate": args.repair_rate,
+            "n_upgraded": args.upgraded,
+            "mu_legacy": args.mu_legacy,
+        },
+        FleetParameters.from_gsu(_params(args)),
+    )
+    phis = args.phis
+    if phis is None and args.step is None:
         phis = [i * params.theta / 10 for i in range(11)]
+    phis = query.phi_grid(params, phis, args.step)
 
     config = _runtime_config_from(args)
     cache = config.make_cache()
-    try:
-        tasks = plan_fleet_tasks(params, phis)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tasks = plan_fleet_tasks(params, phis)
     start = time.perf_counter()
     outcomes = execute_fleet_tasks(
         tasks, backend=config.backend, jobs=config.jobs, cache=cache
@@ -816,67 +793,35 @@ def _cmd_fleet(args) -> int:
         f"{len(outcomes)} points ({solved} solved) on {config.backend} "
         f"backend, jobs={config.jobs}, wall {wall:.2f}s"
     )
-    stats = getattr(cache, "stats", None)
-    if stats is not None:
-        print(
-            f"cache: {stats.hits} hits, {stats.misses} misses, "
-            f"{stats.corrupt} corrupt, {stats.writes} writes"
-        )
+    if cache is not None:
+        _print_cache_stats(cache.stats)
     return 0
 
 
 def _cmd_synthesize(args) -> int:
     from repro.gsu.measures import RS_INT_TAU_H
     from repro.synth import (
-        SynthesisConfig,
-        SynthesisProblem,
         accumulated_distribution,
         apply_point,
         local_evaluate_fn,
-        resolve_levers,
         run_synthesis,
         synthesis_conformance,
     )
     from repro.verify.conformance import DEFAULT_VERIFY_SEED
 
-    params = _params_from(args, PAPER_TABLE3)
-    lever_names = [name.strip() for name in args.levers.split(",") if name.strip()]
-    bounds = {}
-    for spec in args.bounds:
-        name, sep, box = spec.partition("=")
-        lo, colon, hi = box.partition(":")
-        if not sep or not colon:
-            print(f"error: bad --bounds {spec!r} (expected NAME=LO:HI)",
-                  file=sys.stderr)
-            return 2
-        try:
-            bounds[name.strip()] = (float(lo), float(hi))
-        except ValueError:
-            print(f"error: bad --bounds {spec!r} (expected NAME=LO:HI)",
-                  file=sys.stderr)
-            return 2
-
+    params = _params(args)
+    problem, synth_config = query.synthesis_request(
+        params,
+        args.levers,
+        {name: (lo, hi) for name, lo, hi in args.bounds},
+        args.budget,
+        args.max_iters,
+        args.starts,
+    )
+    surrogate = (
+        None if args.surrogate is None else query.load_surrogate(args.surrogate)
+    )
     config = _runtime_config_from(args)
-    try:
-        levers = resolve_levers(params, lever_names, bounds=bounds)
-        problem = SynthesisProblem(
-            params=params, levers=levers, budget=args.budget
-        )
-        synth_config = SynthesisConfig(
-            max_iters=args.max_iters, starts=args.starts
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    surrogate = None
-    if args.surrogate is not None:
-        from repro.surrogate import load_surrogate
-
-        try:
-            surrogate = load_surrogate(args.surrogate)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load surrogate: {exc}", file=sys.stderr)
-            return 2
     result = run_synthesis(
         problem,
         synth_config,
@@ -888,7 +833,7 @@ def _cmd_synthesize(args) -> int:
     quantiles = tuple(args.quantiles) if args.quantiles else (0.25, 0.5, 0.9)
     tails = tuple(args.tails) if args.tails else (0.25, 0.75)
     optimum = result.optimum()
-    opt_params, opt_phi = apply_point(params, levers, result.point)
+    opt_params, opt_phi = apply_point(params, problem.levers, result.point)
     horizon = max(opt_phi, 1e-3 * opt_params.theta)
     solver = ConstituentSolver(opt_params)
     dist = accumulated_distribution(
@@ -977,29 +922,20 @@ def _cmd_serve(args) -> int:
 
     from repro.serve.service import PerformabilityService, ServeConfig
 
-    try:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            memory_cache=args.memory_cache,
-            queue_limit=args.queue_limit,
-            batch_window=args.batch_window,
-            retry_after=args.retry_after,
-            warm=not args.no_warm,
-            drain_timeout=args.drain_timeout,
-            surrogate=args.surrogate,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        service = PerformabilityService(config)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load surrogate: {exc}", file=sys.stderr)
-        return 2
+    config = ServeConfig(
+        host=args.host,
+        port=args.port,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        memory_cache=args.memory_cache,
+        queue_limit=args.queue_limit,
+        batch_window=args.batch_window,
+        retry_after=args.retry_after,
+        warm=not args.no_warm,
+        drain_timeout=args.drain_timeout,
+        surrogate=args.surrogate,
+    )
+    service = PerformabilityService(config)
 
     def _announce(svc: PerformabilityService) -> None:
         warm = (
@@ -1044,55 +980,38 @@ def _cmd_surrogate_fit(args) -> int:
         smoke_spec,
         table3_spec,
     )
+    from repro.surrogate.fitter import check_fit_inputs
 
-    try:
+    with query.rejecting():
         if args.axis:
-            axes = []
-            for text in args.axis:
-                name, sep, box = text.partition("=")
-                parts = box.split(":")
-                if not sep or len(parts) != 3:
-                    raise ValueError(
-                        f"bad --axis {text!r} (expected NAME=LO:HI:DEG)"
-                    )
-                axes.append(
-                    AxisSpec(
-                        name=name.strip(),
-                        lo=float(parts[0]),
-                        hi=float(parts[1]),
-                        degree=int(parts[2]),
-                    )
-                )
             spec = SurrogateSpec(
-                params=_params_from(args, PAPER_TABLE3), axes=tuple(axes)
+                params=_params(args),
+                axes=tuple(
+                    AxisSpec(name=name, lo=lo, hi=hi, degree=degree)
+                    for name, lo, hi, degree in args.axis
+                ),
             )
         elif args.spec == "smoke":
-            spec = smoke_spec(params=_params_from(args, PAPER_TABLE3))
+            spec = smoke_spec(params=_params(args))
         else:
             spec = table3_spec(
                 phi_degree=args.phi_degree,
                 coverage_degree=args.coverage_degree,
             )
-            params = _params_from(args, spec.params)
+            params = _params(args, spec.params)
             if params != spec.params:
                 spec = SurrogateSpec(params=params, axes=spec.axes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        check_fit_inputs(spec, args.safety)
 
     config = _runtime_config_from(args)
-    try:
-        report = fit_surrogate(
-            spec,
-            config=config,
-            cache=config.make_cache(),
-            spot_checks=args.spot_checks,
-            seed=args.seed,
-            safety=args.safety,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = fit_surrogate(
+        spec,
+        config=config,
+        cache=config.make_cache(),
+        spot_checks=args.spot_checks,
+        seed=args.seed,
+        safety=args.safety,
+    )
     path = save_surrogate(report.model, args.out)
     axes = ", ".join(
         f"{axis.name}[{axis.lo:g},{axis.hi:g}] deg {axis.degree}"
@@ -1114,22 +1033,13 @@ def _cmd_surrogate_fit(args) -> int:
 
 
 def _cmd_surrogate_eval(args) -> int:
-    from repro.surrogate import OutOfDomainError, load_surrogate
+    from repro.surrogate import OutOfDomainError
 
-    try:
-        model = load_surrogate(args.artifact)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    params = _params_from(args, model.spec.params)
-    phi_axis = model.spec.axes[0]
-    if args.phis is not None:
-        try:
-            phis = [float(p) for p in args.phis.split(",") if p.strip()]
-        except ValueError:
-            print(f"error: bad --phis {args.phis!r}", file=sys.stderr)
-            return 2
-    else:
+    model = query.load_surrogate(args.artifact)
+    params = _params(args, model.spec.params)
+    phis = args.phis
+    if phis is None:
+        phi_axis = model.spec.axes[0]
         span = phi_axis.hi - phi_axis.lo
         phis = [phi_axis.lo + span * i / 10 for i in range(11)]
     rows = []
@@ -1149,8 +1059,7 @@ def _cmd_surrogate_eval(args) -> int:
                 }
             )
     except OutOfDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise query.QueryError(str(exc)) from exc
     if args.json:
         print(
             json.dumps(
@@ -1181,47 +1090,27 @@ def _cmd_surrogate_eval(args) -> int:
 def _cmd_verify(args) -> int:
     from repro.verify import resolve_profile, run_verify, summarize_report
 
-    phis = None
-    if args.phis is not None:
-        try:
-            phis = [float(p) for p in args.phis.split(",") if p.strip()]
-        except ValueError:
-            print(f"error: bad --phis {args.phis!r}", file=sys.stderr)
-            return 2
-    try:
+    with query.rejecting():
         profile = resolve_profile(
             args.profile,
-            phis=phis,
+            phis=args.phis,
             replications=args.replications,
             seed=args.seed,
             confidence=args.confidence,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     surrogate = None
     if args.surrogate is not None:
-        from repro.surrogate import load_surrogate
-
-        try:
-            surrogate = load_surrogate(args.surrogate)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load surrogate: {exc}", file=sys.stderr)
-            return 2
-    config = _runtime_config_from(args)
-    with use_config(config):
-        try:
-            report = run_verify(profile, surrogate=surrogate)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        surrogate = query.load_surrogate(args.surrogate)
+        if not surrogate.covers(profile.params, profile.phis):
+            raise query.QueryError(
+                f"profile {profile.name!r} lies outside the surrogate's "
+                "fitted box"
+            )
+    with use_config(_runtime_config_from(args)):
+        report = run_verify(profile, surrogate=surrogate)
     print(summarize_report(report))
     if report.cache_stats is not None:
-        stats = report.cache_stats
-        print(
-            f"cache: {stats.hits} hits, {stats.misses} misses, "
-            f"{stats.corrupt} corrupt, {stats.writes} writes"
-        )
+        _print_cache_stats(report.cache_stats)
     if report.artifacts is not None:
         print(f"manifest: {report.artifacts.manifest_path}")
         print(f"verdicts: {report.artifacts.verdicts_path}")
@@ -1229,9 +1118,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    params = _params_from(args, SCALED_VALIDATION_PARAMS)
+    params = _params(args, SCALED_VALIDATION_PARAMS)
+    [phi] = query.phi_grid(params, [args.phi])
     report = validate_constituents(
-        params, args.phi, replications=args.replications, seed=args.seed
+        params, phi, replications=args.replications, seed=args.seed
     )
     print(report.summary())
     print()
@@ -1241,12 +1131,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_hybrid(args) -> int:
-    params = _params_from(args, SCALED_VALIDATION_PARAMS)
+    params = _params(args, SCALED_VALIDATION_PARAMS)
+    [phi] = query.phi_grid(params, [args.phi])
     hybrid = hybrid_evaluate(
-        params, args.phi, replications=args.replications, seed=args.seed
+        params, phi, replications=args.replications, seed=args.seed
     )
     low, high = hybrid.confidence_interval()
-    print(f"hybrid Y({args.phi:g}) = {hybrid.value:.4f}  "
+    print(f"hybrid Y({phi:g}) = {hybrid.value:.4f}  "
           f"95% CI [{low:.4f}, {high:.4f}]")
     for name, uv in sorted(hybrid.result.constituents.items()):
         kind = "simulated" if uv.std_error > 0 else "analytic"
@@ -1255,50 +1146,38 @@ def _cmd_hybrid(args) -> int:
     return 0
 
 
-def _cmd_measure(args) -> int:
-    from repro.san.ctmc_builder import build_ctmc
+def _solve_reward(args, compiled, on: str = "") -> int:
+    """Solve ``--predicate`` rewards on ``compiled`` per ``--solution``."""
     from repro.san.rewards import instant_of_time, interval_of_time, steady_state
-    from repro.san.spec import reward_structure_from_spec
 
-    params = _params_from(args, PAPER_TABLE3)
-    solver = ConstituentSolver(params)
+    structure = query.reward_structure(args.predicate, compiled)
+    if args.solution == "steady":
+        try:
+            value = steady_state(compiled, structure)
+        except CTMCError as exc:
+            raise query.QueryError(str(exc)) from exc
+        print(f"steady-state reward{on}: {value:.8g}")
+        return 0
+    if args.at is None:
+        raise query.QueryError("--at is required for instant/accumulated solutions")
+    if args.solution == "instant":
+        value = instant_of_time(compiled, structure, args.at, method="auto")
+        print(f"instant-of-time reward at t={args.at:g}{on}: {value:.8g}")
+    else:
+        value = interval_of_time(compiled, structure, args.at, method="auto")
+        print(f"accumulated reward over [0, {args.at:g}]{on}: {value:.8g}")
+    return 0
+
+
+def _cmd_measure(args) -> int:
+    solver = ConstituentSolver(_params(args))
     if args.model == "rmgd":
         compiled = solver.rm_gd
     elif args.model == "rmgp":
         compiled = solver.rm_gp
     else:
         compiled = solver.rm_nd_new if args.rate == "new" else solver.rm_nd_old
-
-    pairs = []
-    for spec in args.predicate:
-        text, _, rate_text = spec.rpartition(":")
-        if text and _is_float(rate_text):
-            pairs.append((text, float(rate_text)))
-        else:
-            pairs.append((spec, 1.0))
-    structure = reward_structure_from_spec("cli_measure", pairs)
-
-    if args.solution == "steady":
-        try:
-            value = steady_state(compiled, structure)
-        except CTMCError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"steady-state reward on {args.model.upper()}: {value:.8g}")
-        return 0
-    if args.at is None:
-        print("error: --at is required for instant/accumulated solutions",
-              file=sys.stderr)
-        return 2
-    if args.solution == "instant":
-        value = instant_of_time(compiled, structure, args.at, method="auto")
-        print(f"instant-of-time reward at t={args.at:g} on "
-              f"{args.model.upper()}: {value:.8g}")
-    else:
-        value = interval_of_time(compiled, structure, args.at, method="auto")
-        print(f"accumulated reward over [0, {args.at:g}] on "
-              f"{args.model.upper()}: {value:.8g}")
-    return 0
+    return _solve_reward(args, compiled, on=f" on {args.model.upper()}")
 
 
 def _cmd_report(args) -> int:
@@ -1316,54 +1195,17 @@ def _cmd_report(args) -> int:
 
 def _cmd_solve(args) -> int:
     from repro.san.ctmc_builder import build_ctmc
-    from repro.san.rewards import instant_of_time, interval_of_time, steady_state
     from repro.san.serialization import model_from_json
-    from repro.san.spec import reward_structure_from_spec
 
-    with open(args.model_file) as handle:
-        model = model_from_json(handle.read())
+    model = query.load_file(args.model_file, model_from_json, "model file")
     compiled = build_ctmc(model)
     print(f"model {model.name!r}: {compiled.num_states} tangible states "
           f"({compiled.graph.num_vanishing} vanishing eliminated)")
-    pairs = []
-    for spec in args.predicate:
-        text, _, rate_text = spec.rpartition(":")
-        if text and _is_float(rate_text):
-            pairs.append((text, float(rate_text)))
-        else:
-            pairs.append((spec, 1.0))
-    structure = reward_structure_from_spec("cli_solve", pairs)
-    if args.solution == "steady":
-        try:
-            value = steady_state(compiled, structure)
-        except CTMCError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"steady-state reward: {value:.8g}")
-        return 0
-    if args.at is None:
-        print("error: --at is required for instant/accumulated solutions",
-              file=sys.stderr)
-        return 2
-    if args.solution == "instant":
-        value = instant_of_time(compiled, structure, args.at, method="auto")
-        print(f"instant-of-time reward at t={args.at:g}: {value:.8g}")
-    else:
-        value = interval_of_time(compiled, structure, args.at, method="auto")
-        print(f"accumulated reward over [0, {args.at:g}]: {value:.8g}")
-    return 0
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
+    return _solve_reward(args, compiled)
 
 
 def _cmd_export_model(args) -> int:
-    params = _params_from(args, PAPER_TABLE3)
+    params = _params(args)
     if args.model == "rmgd":
         model = build_rm_gd(params)
     elif args.model == "rmgp":
@@ -1401,9 +1243,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit status."""
+    """CLI entry point; returns the exit status (2 for bad input)."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except query.QueryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

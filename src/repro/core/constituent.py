@@ -15,7 +15,7 @@ decomposition buys.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.san.ctmc_builder import CompiledSAN

@@ -16,7 +16,7 @@ documentation (the reproduction's analogue of the paper's Figure 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.core.constituent import ConstituentMeasure, EvaluationContext

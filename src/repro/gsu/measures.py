@@ -28,7 +28,6 @@ from typing import Sequence
 
 from repro.gsu.parameters import GSUParameters
 from repro.san.ctmc_builder import CompiledSAN, build_ctmc
-from repro.san.marking import Marking
 from repro.san.rewards import (
     DEFAULT_METHOD,
     PredicateRatePair,

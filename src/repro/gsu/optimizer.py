@@ -3,13 +3,16 @@
 The paper reads the optimum off a coarse sweep (step 1000 over
 ``[0, theta]``); :func:`find_optimal_phi` reproduces that and optionally
 refines the optimum with golden-section search between the coarse
-neighbours of the best grid point.
+neighbours of the best grid point.  :func:`pick_optimum` is that rule on
+an already evaluated grid — ``repro optimal`` and ``POST /optimal``
+both answer through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import GSUParameters
@@ -69,7 +72,7 @@ def find_optimal_phi(
         Coarse grid step (the paper uses 1000-hour steps).
     refine:
         When true, run a golden-section search between the coarse
-        neighbours of the grid optimum.
+        neighbours of the grid optimum (see :func:`pick_optimum`).
     refine_tolerance:
         Bracket width (hours) at which refinement stops.
     solver:
@@ -82,55 +85,34 @@ def find_optimal_phi(
         Runtime overrides for the coarse grid, forwarded to
         :func:`~repro.runtime.campaign.run_campaign`.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if solver is not None:
-        from repro.runtime.spec import default_grid
+    # Lazy imports: the runtime's executor evaluates the index, which
+    # lives beside this module.
+    from repro.runtime.spec import CampaignSpec, CurveSpec, default_grid
 
-        grid = default_grid(params.theta, step=step)
+    grid = default_grid(params.theta, step=step)
+    if solver is not None:
         # Batched: one solver pass per model serves the whole coarse grid.
         evaluations = sweep_phi(params, grid, solver=solver)
     else:
-        # Route the coarse grid through the campaign runtime.  (Lazy
-        # import: the runtime's executor evaluates the index, which
-        # lives beside this module.)
+        # Route the coarse grid through the campaign runtime.
         from repro.runtime.campaign import run_campaign
-        from repro.runtime.spec import CampaignSpec, CurveSpec, default_grid
 
         spec = CampaignSpec(
             name="optimal-phi",
             curves=(
-                CurveSpec(
-                    label="optimal-phi",
-                    params=params,
-                    phis=tuple(default_grid(params.theta, step=step)),
-                ),
+                CurveSpec(label="optimal-phi", params=params, phis=tuple(grid)),
             ),
         )
         result = run_campaign(spec, backend=backend, jobs=jobs, cache=cache)
         evaluations = [point.evaluation for point in result.sweeps[0].points]
-    best_idx = max(range(len(evaluations)), key=lambda i: evaluations[i].value)
-    best = evaluations[best_idx]
-    best_phi, best_y = best.phi, best.value
-
-    if refine and len(evaluations) > 1:
-        if solver is None:
-            solver = ConstituentSolver(params)
-        # A grid optimum at a bracket endpoint still has one coarse
-        # neighbour: refine the one-sided bracket [phi_0, phi_1] (or
-        # [phi_{n-1}, phi_n]) instead of silently skipping refinement —
-        # with a coarse grid the true optimum can sit well inside it.
-        lo = evaluations[max(best_idx - 1, 0)].phi
-        hi = evaluations[min(best_idx + 1, len(evaluations) - 1)].phi
-        refined_phi, refined_y = _golden_section(
-            lambda phi: evaluate_index(params, phi, solver=solver).value,
-            lo,
-            hi,
-            refine_tolerance,
-        )
-        if refined_y > best_y:
-            best_phi, best_y = refined_phi, refined_y
-
+    best_phi, best_y, _ = pick_optimum(
+        params,
+        [e.phi for e in evaluations],
+        [e.value for e in evaluations],
+        refine,
+        refine_tolerance,
+        solver,
+    )
     return OptimalDuration(
         phi=best_phi,
         y=best_y,
@@ -139,36 +121,39 @@ def find_optimal_phi(
     )
 
 
-def refine_optimum(
+def pick_optimum(
     params: GSUParameters,
-    lo: float,
-    hi: float,
+    phis: Sequence[float],
+    values: Sequence[float],
+    refine: bool = False,
     tolerance: float = 10.0,
     solver: ConstituentSolver | None = None,
-) -> tuple[float, float]:
-    """Golden-section refinement of ``Y`` on the bracket ``[lo, hi]``.
+) -> tuple[float, float, bool]:
+    """The optimum ``(phi, Y, refined)`` of an evaluated ``phi`` grid.
 
-    The sequential tail of an optimal-``phi`` search, factored out so
-    callers that already evaluated a coarse grid elsewhere (e.g. the
-    serving layer, which grids through its coalescing cache path) can
-    refine between the grid optimum's neighbours without re-solving the
-    grid.  Returns the best ``(phi, Y(phi))`` evaluated by the section
-    search, which stops once the bracket narrows below ``tolerance``
-    hours.
+    Without ``refine`` it is the grid argmax.  With ``refine``, a
+    golden-section search runs between the argmax's coarse neighbours,
+    down to a ``tolerance``-hour bracket.  An argmax at a grid endpoint
+    still has one neighbour: the one-sided bracket ``[phi_0, phi_1]``
+    (or ``[phi_{n-1}, phi_n]``) is refined instead of skipped, since on
+    a coarse grid the true optimum can sit well inside it.  ``refined``
+    says whether the search beat the grid.
     """
-    if not 0.0 <= lo < hi <= params.theta:
-        raise ValueError(
-            f"refinement bracket [{lo}, {hi}] must be increasing within "
-            f"[0, theta={params.theta}]"
-        )
+    best = max(range(len(values)), key=values.__getitem__)
+    best_phi, best_y = phis[best], values[best]
+    if not refine or len(phis) < 2:
+        return best_phi, best_y, False
     if solver is None:
         solver = ConstituentSolver(params)
-    return _golden_section(
-        lambda phi: evaluate_index(params, phi, solver=solver).value,
-        lo,
-        hi,
+    phi, y = _golden_section(
+        lambda p: evaluate_index(params, p, solver=solver).value,
+        phis[max(best - 1, 0)],
+        phis[min(best + 1, len(phis) - 1)],
         tolerance,
     )
+    if y > best_y:
+        return phi, y, True
+    return best_phi, best_y, False
 
 
 def _golden_section(objective, lo: float, hi: float, tolerance: float):

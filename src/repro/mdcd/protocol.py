@@ -22,7 +22,7 @@ executes the protocol rules of Section 2 of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.des.engine import Engine
 from repro.des.rng import RandomStreams

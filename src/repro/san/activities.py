@@ -13,7 +13,7 @@ coverage ``c``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.san.errors import ModelStructureError

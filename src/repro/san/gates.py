@@ -16,7 +16,7 @@ compactly encoding three distinct behavioural scenarios (Section 5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.san.errors import ModelStructureError

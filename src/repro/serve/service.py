@@ -2,10 +2,11 @@
 
 One :class:`PerformabilityService` owns the whole request path:
 
-1. **Validate + canonicalize** — JSON bodies become
-   :class:`~repro.gsu.parameters.GSUParameters` (Table 3 base point
-   plus overrides) and ``phi`` grids, rejected with ``400`` on any
-   malformed field before touching a solver.
+1. **Validate + canonicalize** — :mod:`repro.query` turns JSON bodies
+   into :class:`~repro.gsu.parameters.GSUParameters` (Table 3 base
+   point plus overrides) and ``phi`` grids by the same rules as the
+   CLI; any malformed field answers ``400`` with the CLI's message
+   before a solver is touched.
 2. **Surrogate probe** — with a certified surrogate artifact loaded
    (``--surrogate``), an ``/evaluate`` grid whose every point lies
    inside the surrogate's parameter box is answered directly from the
@@ -51,17 +52,19 @@ down.
 from __future__ import annotations
 
 import asyncio
+import functools
 import signal
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from repro import query
 from repro.ctmc.config import dispatch_counts
-from repro.gsu.fleet import FleetParameters
 from repro.gsu.measures import ConstituentSolver
-from repro.gsu.optimizer import refine_optimum
+from repro.gsu.optimizer import pick_optimum
 from repro.gsu.parameters import PAPER_TABLE3, GSUParameters
 from repro.gsu.performability import evaluate_batch
 from repro.runtime.cache import (
@@ -72,7 +75,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.records import record_from_evaluation
 from repro.runtime.executor import execute_fleet_tasks
-from repro.runtime.spec import _PARAM_FIELDS, default_grid
+from repro.runtime.spec import params_to_dict
 from repro.runtime.tasks import EvaluationTask, plan_fleet_tasks
 from repro.serve.batcher import (
     DEFAULT_BATCH_WINDOW,
@@ -88,13 +91,8 @@ from repro.serve.http import (
     write_response,
 )
 from repro.serve.metrics import ServiceMetrics
-from repro.synth.levers import resolve_levers
-from repro.synth.objective import (
-    SynthesisProblem,
-    overhead_from_constituents,
-)
-from repro.synth.optimizer import SynthesisConfig
 from repro.synth.driver import run_synthesis
+from repro.synth.objective import overhead_from_constituents
 
 #: Bound on points per request (a full Table 3 curve is 11 points; this
 #: allows dense grids while keeping one request's work bounded).
@@ -112,16 +110,16 @@ MAX_SYNTH_STARTS = 9
 #: model is immutable, so identical in-box requests are pure replays.
 SURROGATE_MEMO_CAPACITY = 128
 
-#: Fleet parameter fields accepted in ``POST /fleet`` bodies, with the
-#: integer-valued ones called out for coercion.
-_FLEET_FIELDS = (
-    "n_processes", "repair_servers", "repair_rate",
-    "lam", "mu", "coverage", "p_ext", "theta",
-    "n_upgraded", "mu_legacy",
-)
-_FLEET_INT_FIELDS = frozenset({"n_processes", "repair_servers", "n_upgraded"})
-#: Staged-upgrade fields; ``null`` (→ ``None``) means "not staged".
-_FLEET_OPTIONAL_FIELDS = frozenset({"n_upgraded", "mu_legacy"})
+#: Routes: path → (HTTP method, handler attribute).  GET handlers build
+#: a probe payload; POST handlers take the JSON object body.
+_ROUTES = {
+    "/healthz": ("GET", "healthz_payload"),
+    "/metrics": ("GET", "metrics_payload"),
+    "/evaluate": ("POST", "handle_evaluate"),
+    "/optimal": ("POST", "handle_optimal"),
+    "/fleet": ("POST", "handle_fleet"),
+    "/synthesize": ("POST", "handle_synthesize"),
+}
 
 
 @dataclass(frozen=True)
@@ -247,11 +245,8 @@ class PerformabilityService:
             retry_after=config.retry_after,
             metrics=self.metrics,
         )
-        self.surrogate = None
-        if config.surrogate is not None:
-            from repro.surrogate import load_surrogate
-
-            self.surrogate = load_surrogate(config.surrogate)
+        path = config.surrogate
+        self.surrogate = None if path is None else query.load_surrogate(path)
         # Surrogate-tier traffic counters (requests routed, points
         # served, and requests that had a surrogate but fell back to
         # the exact path).  Only the event loop touches these.
@@ -266,60 +261,6 @@ class PerformabilityService:
         self._idle = asyncio.Event()
         self._stop = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
-
-    # ------------------------------------------------------------------
-    # Request validation / canonicalization
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _parse_params(body: dict) -> GSUParameters:
-        """Table 3 base point plus validated overrides → canonical set."""
-        overrides = body.get("params", {})
-        if not isinstance(overrides, dict):
-            raise HttpError(400, "'params' must be an object of overrides")
-        unknown = set(overrides) - set(_PARAM_FIELDS)
-        if unknown:
-            raise HttpError(
-                400,
-                f"unknown parameter fields: {sorted(unknown)} "
-                f"(known: {sorted(_PARAM_FIELDS)})",
-            )
-        try:
-            values = {name: float(value) for name, value in overrides.items()}
-            return PAPER_TABLE3.with_overrides(**values)
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, f"invalid parameters: {exc}") from exc
-
-    @staticmethod
-    def _parse_phis(
-        body: dict, params: GSUParameters | FleetParameters
-    ) -> list[float]:
-        """The request's ``phi`` grid: explicit list or ``step`` spacing,
-        validated against ``[0, theta]``."""
-        phis = body.get("phis")
-        step = body.get("step")
-        if phis is not None and step is not None:
-            raise HttpError(400, "give either 'phis' or 'step', not both")
-        if phis is None:
-            try:
-                grid_step = float(step) if step is not None else 1000.0
-                grid = default_grid(params.theta, step=grid_step)
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid step: {exc}") from exc
-        else:
-            if not isinstance(phis, list) or not phis:
-                raise HttpError(400, "'phis' must be a non-empty array")
-            grid = phis
-        if len(grid) > MAX_GRID_POINTS:
-            raise HttpError(
-                400, f"grid of {len(grid)} points exceeds {MAX_GRID_POINTS}"
-            )
-        validated = []
-        for phi in grid:
-            try:
-                validated.append(params.validate_phi(float(phi)))
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid phi: {exc}") from exc
-        return validated
 
     def _tasks_for(
         self, params: GSUParameters, phis: list[float]
@@ -336,34 +277,6 @@ class PerformabilityService:
             )
             for i, phi in enumerate(phis)
         ]
-
-    @staticmethod
-    def _parse_fleet_params(body: dict) -> FleetParameters:
-        """Fleet defaults plus validated overrides → canonical set."""
-        overrides = body.get("fleet", {})
-        if not isinstance(overrides, dict):
-            raise HttpError(400, "'fleet' must be an object of overrides")
-        unknown = set(overrides) - set(_FLEET_FIELDS)
-        if unknown:
-            raise HttpError(
-                400,
-                f"unknown fleet fields: {sorted(unknown)} "
-                f"(known: {sorted(_FLEET_FIELDS)})",
-            )
-        try:
-            values = {
-                name: (
-                    None
-                    if value is None and name in _FLEET_OPTIONAL_FIELDS
-                    else int(value)
-                    if name in _FLEET_INT_FIELDS
-                    else float(value)
-                )
-                for name, value in overrides.items()
-            }
-            return FleetParameters(**values)
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, f"invalid fleet parameters: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Endpoint handlers
@@ -402,7 +315,7 @@ class PerformabilityService:
         solve_seconds = time.perf_counter() - start
         self.surrogate_points += len(points)
         return {
-            "params": {name: getattr(params, name) for name in _PARAM_FIELDS},
+            "params": params_to_dict(params),
             "points": points,
             "provenance": {
                 "sources": {"surrogate": len(points)},
@@ -438,18 +351,13 @@ class PerformabilityService:
                         "queue_depth": self.batcher.queue_depth,
                     },
                 }
-        params = self._parse_params(body)
-        phis = self._parse_phis(body, params)
+        params = query.gsu_params(body.get("params", {}))
+        phis = query.phi_grid(
+            params, body.get("phis"), body.get("step"), MAX_GRID_POINTS
+        )
         max_error = body.get("max_error")
         if max_error is not None:
-            try:
-                max_error = float(max_error)
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid max_error: {exc}") from exc
-            if max_error <= 0:
-                raise HttpError(
-                    400, f"max_error must be positive, got {max_error:g}"
-                )
+            max_error = query.positive(max_error, "max_error")
         shortcut = self._try_surrogate(params, phis, max_error)
         if shortcut is not None:
             if memo_key is not None:
@@ -462,11 +370,8 @@ class PerformabilityService:
             params, self._tasks_for(params, phis), self.cache
         )
         solve_seconds = time.perf_counter() - start
-        sources: dict[str, int] = {}
-        for _, source in served:
-            sources[source] = sources.get(source, 0) + 1
         return {
-            "params": {name: getattr(params, name) for name in _PARAM_FIELDS},
+            "params": params_to_dict(params),
             "points": [
                 {
                     "phi": record["phi"],
@@ -477,7 +382,7 @@ class PerformabilityService:
                 for record, source in served
             ],
             "provenance": {
-                "sources": sources,
+                "sources": Counter(source for _, source in served),
                 "solve_ms": solve_seconds * 1000.0,
                 "queue_depth": self.batcher.queue_depth,
             },
@@ -492,15 +397,16 @@ class PerformabilityService:
         runs and the service interoperate at 100% cache hits.  The solve
         runs on the worker pool; the event loop stays free.
         """
-        params = self._parse_fleet_params(body)
+        params = query.fleet_params(body.get("fleet", {}))
         mode = body.get("mode", "lumped")
         if mode != "lumped":
-            raise HttpError(
-                400,
+            raise query.QueryError(
                 f"unsupported mode {mode!r}: fleet queries are answered "
-                f"exactly on the lumped quotient (mode 'lumped')",
+                f"exactly on the lumped quotient (mode 'lumped')"
             )
-        phis = self._parse_phis(body, params)
+        phis = query.phi_grid(
+            params, body.get("phis"), body.get("step"), MAX_GRID_POINTS
+        )
         tasks = plan_fleet_tasks(params, phis)
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
@@ -509,76 +415,64 @@ class PerformabilityService:
             lambda: execute_fleet_tasks(tasks, cache=self.cache),
         )
         solve_seconds = time.perf_counter() - start
-        sources: dict[str, int] = {}
-        for outcome in outcomes:
-            source = "cache" if outcome.cached else "solved"
-            sources[source] = sources.get(source, 0) + 1
+        points = [
+            {
+                "phi": outcome.record["phi"],
+                "Y": outcome.record["Y"],
+                "operational_time": outcome.record["operational_time"],
+                "source": "cache" if outcome.cached else "solved",
+            }
+            for outcome in outcomes
+        ]
         return {
             "fleet": params.to_dict(),
             "mode": "lumped",
             "states": outcomes[0].record["states"] if outcomes else 0,
-            "points": [
-                {
-                    "phi": outcome.record["phi"],
-                    "Y": outcome.record["Y"],
-                    "operational_time": outcome.record["operational_time"],
-                    "source": "cache" if outcome.cached else "solved",
-                }
-                for outcome in outcomes
-            ],
+            "points": points,
             "provenance": {
-                "sources": sources,
+                "sources": Counter(point["source"] for point in points),
                 "solve_ms": solve_seconds * 1000.0,
             },
         }
 
     async def handle_optimal(self, body: dict) -> dict:
-        """``POST /optimal`` — grid search (cached/coalesced) + refinement."""
-        params = self._parse_params(body)
-        try:
-            step = float(body.get("step", 1000.0))
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, f"invalid step: {exc}") from exc
-        if step <= 0:
-            raise HttpError(400, f"step must be positive, got {step:g}")
-        refine = bool(body.get("refine", False))
-        phis = self._parse_phis({"step": step}, params)
+        """``POST /optimal`` — grid search (cached/coalesced) + refinement.
+
+        The optimum follows :func:`~repro.gsu.optimizer.pick_optimum`,
+        the rule ``repro optimal`` uses, so both answer alike.
+        """
+        params = query.gsu_params(body.get("params", {}))
+        phis = query.phi_grid(
+            params, step=body.get("step", 1000.0), max_points=MAX_GRID_POINTS
+        )
         served = await self.batcher.evaluate(
             params, self._tasks_for(params, phis), self.cache
         )
         records = [record for record, _ in served]
-        best_idx = max(
-            range(len(records)), key=lambda i: records[i]["value"]
+        grid = {
+            "phis": [record["phi"] for record in records],
+            "values": [record["value"] for record in records],
+        }
+        refine = bool(body.get("refine", False))
+        pick = functools.partial(
+            pick_optimum, params, grid["phis"], grid["values"], refine
         )
-        best_phi = records[best_idx]["phi"]
-        best_y = records[best_idx]["value"]
-        refined = False
-        if refine and 0 < best_idx < len(records) - 1:
+        if refine:  # refinement solves: keep it off the event loop
             loop = asyncio.get_running_loop()
-            refined_phi, refined_y = await loop.run_in_executor(
-                self.executor,
-                refine_optimum,
-                params,
-                records[best_idx - 1]["phi"],
-                records[best_idx + 1]["phi"],
+            best_phi, best_y, refined = await loop.run_in_executor(
+                self.executor, pick
             )
-            if refined_y > best_y:
-                best_phi, best_y, refined = refined_phi, refined_y, True
-        sources: dict[str, int] = {}
-        for _, source in served:
-            sources[source] = sources.get(source, 0) + 1
+        else:
+            best_phi, best_y, refined = pick()
         return {
-            "params": {name: getattr(params, name) for name in _PARAM_FIELDS},
+            "params": params_to_dict(params),
             "phi": best_phi,
             "y": best_y,
             "beneficial": best_y > 1.0,
             "refined": refined,
-            "grid": {
-                "phis": [record["phi"] for record in records],
-                "values": [record["value"] for record in records],
-            },
+            "grid": grid,
             "provenance": {
-                "sources": sources,
+                "sources": Counter(source for _, source in served),
                 "queue_depth": self.batcher.queue_depth,
             },
         }
@@ -594,52 +488,17 @@ class PerformabilityService:
         Step records are cached under the ``synth.step`` namespace —
         repeating a request replays its trajectories from cache.
         """
-        params = self._parse_params(body)
-        lever_names = body.get("levers", ["phi"])
-        if (
-            not isinstance(lever_names, list)
-            or not all(isinstance(n, str) for n in lever_names)
-        ):
-            raise HttpError(400, "'levers' must be an array of lever names")
-        raw_bounds = body.get("bounds", {})
-        if not isinstance(raw_bounds, dict):
-            raise HttpError(
-                400, "'bounds' must be an object of [lower, upper] pairs"
-            )
-        bounds = {}
-        for name, pair in raw_bounds.items():
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise HttpError(
-                    400, f"bounds for {name!r} must be a [lower, upper] pair"
-                )
-            try:
-                bounds[name] = (float(pair[0]), float(pair[1]))
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid bounds for {name!r}: {exc}")
-        budget = body.get("budget")
-        try:
-            max_iters = int(body.get("max_iters", 24))
-            starts = int(body.get("starts", 3))
-            budget = float(budget) if budget is not None else None
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, f"invalid synthesis options: {exc}") from exc
-        if not 1 <= max_iters <= MAX_SYNTH_ITERS:
-            raise HttpError(
-                400, f"max_iters must be in [1, {MAX_SYNTH_ITERS}]"
-            )
-        if not 1 <= starts <= MAX_SYNTH_STARTS:
-            raise HttpError(400, f"starts must be in [1, {MAX_SYNTH_STARTS}]")
-        try:
-            levers = resolve_levers(params, lever_names, bounds=bounds)
-            problem = SynthesisProblem(
-                params=params, levers=levers, budget=budget
-            )
-            config = SynthesisConfig(max_iters=max_iters, starts=starts)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from exc
-
+        problem, config = query.synthesis_request(
+            query.gsu_params(body.get("params", {})),
+            body.get("levers", ["phi"]),
+            body.get("bounds", {}),
+            body.get("budget"),
+            body.get("max_iters", 24),
+            body.get("starts", 3),
+            caps=(MAX_SYNTH_ITERS, MAX_SYNTH_STARTS),
+        )
         loop = asyncio.get_running_loop()
-        sources: dict[str, int] = {}
+        sources = Counter()
 
         def evaluate_fn(point_params, phis):
             # Runs on the synth thread: hop each evaluation back onto
@@ -648,8 +507,7 @@ class PerformabilityService:
             served = asyncio.run_coroutine_threadsafe(
                 self.batcher.evaluate(point_params, tasks, self.cache), loop
             ).result()
-            for _, source in served:
-                sources[source] = sources.get(source, 0) + 1
+            sources.update(source for _, source in served)
             return [
                 (
                     record["value"],
@@ -706,18 +564,11 @@ class PerformabilityService:
             "fallbacks": template_stats.fallbacks,
         }
         payload["solver"]["dispatch"] = dispatch_counts()
+        model = self.surrogate
         payload["surrogate"] = {
-            "loaded": self.surrogate is not None,
-            "digest": (
-                self.surrogate.meta.get("digest")
-                if self.surrogate is not None
-                else None
-            ),
-            "bound": (
-                self.surrogate.worst_bound
-                if self.surrogate is not None
-                else None
-            ),
+            "loaded": model is not None,
+            "digest": model.meta.get("digest") if model is not None else None,
+            "bound": model.worst_bound if model is not None else None,
             "requests": self.surrogate_requests,
             "points": self.surrogate_points,
             "fallbacks": self.surrogate_fallbacks,
@@ -730,54 +581,44 @@ class PerformabilityService:
     # HTTP dispatch
     # ------------------------------------------------------------------
     async def _dispatch(self, request: HttpRequest) -> tuple[int, dict, dict]:
-        """Route one request; returns (status, payload, extra headers)."""
-        route = (request.method, request.target)
-        if route == ("GET", "/healthz"):
-            return 200, self.healthz_payload(), {}
-        if route == ("GET", "/metrics"):
-            return 200, self.metrics_payload(), {}
-        if route in (
-            ("POST", "/evaluate"),
-            ("POST", "/optimal"),
-            ("POST", "/fleet"),
-            ("POST", "/synthesize"),
-        ):
-            body = request.json()
-            if not isinstance(body, dict):
-                raise HttpError(400, "request body must be a JSON object")
-            handler = {
-                "/evaluate": self.handle_evaluate,
-                "/optimal": self.handle_optimal,
-                "/fleet": self.handle_fleet,
-                "/synthesize": self.handle_synthesize,
-            }[request.target]
-            endpoint = request.target.lstrip("/")
-            start = time.perf_counter()
-            try:
-                payload = await handler(body)
-            except OverloadedError as exc:
-                return (
-                    429,
-                    {
-                        "error": "overloaded",
-                        "detail": str(exc),
-                        "queue_depth": exc.depth,
-                        "queue_limit": exc.limit,
-                    },
-                    {"Retry-After": f"{max(1, round(exc.retry_after))}"},
-                )
-            self.metrics.recorder(endpoint).observe(
-                time.perf_counter() - start
-            )
-            return 200, payload, {}
-        if request.target in (
-            "/healthz", "/metrics", "/evaluate", "/optimal", "/fleet",
-            "/synthesize",
-        ):
+        """Route one request; returns (status, payload, extra headers).
+
+        A :class:`~repro.query.QueryError` from a handler — outside input
+        that fails validation — answers ``400`` with its message.
+        """
+        method, name = _ROUTES.get(request.target, (None, None))
+        if name is None:
+            raise HttpError(404, f"unknown path {request.target!r}")
+        if request.method != method:
             raise HttpError(
                 405, f"{request.method} not supported on {request.target}"
             )
-        raise HttpError(404, f"unknown path {request.target!r}")
+        handler = getattr(self, name)
+        if method == "GET":
+            return 200, handler(), {}
+        body = request.json()
+        if not isinstance(body, dict):
+            raise HttpError(400, "request body must be a JSON object")
+        start = time.perf_counter()
+        try:
+            payload = await handler(body)
+        except query.QueryError as exc:
+            return 400, {"error": str(exc)}, {}
+        except OverloadedError as exc:
+            return (
+                429,
+                {
+                    "error": "overloaded",
+                    "detail": str(exc),
+                    "queue_depth": exc.depth,
+                    "queue_limit": exc.limit,
+                },
+                {"Retry-After": f"{max(1, round(exc.retry_after))}"},
+            )
+        self.metrics.recorder(request.target.lstrip("/")).observe(
+            time.perf_counter() - start
+        )
+        return 200, payload, {}
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -805,10 +646,8 @@ class PerformabilityService:
                 return
 
             self.metrics.requests_total += 1
-            is_probe = request.method == "GET" and request.target in (
-                "/healthz",
-                "/metrics",
-            )
+            route_method = _ROUTES.get(request.target, (None,))[0]
+            is_probe = route_method == request.method == "GET"
             if self._draining and not is_probe:
                 # Probe endpoints keep answering during the drain so an
                 # orchestrator can tell "draining" from "dead"; work

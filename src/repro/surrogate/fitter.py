@@ -83,8 +83,9 @@ class FitReport:
     solve_seconds: float = 0.0
 
 
-def _check_live_axes(spec: SurrogateSpec) -> None:
-    """Reject box axes no model's rate expressions reference.
+def check_fit_inputs(spec: SurrogateSpec, safety: float) -> None:
+    """Reject a safety factor below 1 and box axes no model's rate
+    expressions reference.
 
     Compiles the four symbolic templates once (cheap, cached nowhere —
     this is a fit-time-only check) and verifies every non-phi axis name
@@ -97,6 +98,8 @@ def _check_live_axes(spec: SurrogateSpec) -> None:
         param_env,
     )
 
+    if safety < 1.0:
+        raise ValueError(f"safety factor must be >= 1, got {safety}")
     lever_axes = spec.lever_axes()
     if not lever_axes:
         return
@@ -248,9 +251,7 @@ def fit_surrogate(
     cache all apply, so repeated fits of overlapping boxes reuse node
     solves and an interrupted fit resumes where it stopped.
     """
-    if safety < 1.0:
-        raise ValueError(f"safety factor must be >= 1, got {safety}")
-    _check_live_axes(spec)
+    check_fit_inputs(spec, safety)
     config = config if config is not None else get_config()
     if cache is None:
         cache = config.make_cache()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 

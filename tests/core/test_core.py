@@ -12,10 +12,7 @@ from repro.core.constituent import (
 )
 from repro.core.index import PerformabilityIndex, WorthModel
 from repro.core.translation import TranslationPipeline, TranslationStage
-from repro.san.activities import TimedActivity
 from repro.san.ctmc_builder import build_ctmc
-from repro.san.model import SANModel
-from repro.san.places import Place
 from repro.san.rewards import RewardStructure
 
 

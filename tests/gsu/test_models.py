@@ -10,8 +10,6 @@ from repro.gsu.models.rm_nd import build_rm_nd
 from repro.gsu.parameters import PAPER_TABLE3
 from repro.san.analyzers import analyze_structure, is_irreducible
 from repro.san.ctmc_builder import build_ctmc
-from repro.san.marking import Marking
-from repro.san.reachability import explore
 from repro.san.rewards import RewardStructure, instant_of_time, steady_state
 
 

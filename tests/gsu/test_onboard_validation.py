@@ -1,8 +1,6 @@
 """Tests for the onboard-validation stage (Bayesian rate estimation,
 stopping rule, upgrade planning)."""
 
-import math
-
 import numpy as np
 import pytest
 

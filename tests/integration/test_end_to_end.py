@@ -5,8 +5,6 @@ translation pipeline -> performability index, plus the protocol
 simulation cross-check.
 """
 
-import math
-
 import pytest
 
 from repro.gsu.measures import ConstituentSolver

@@ -15,7 +15,6 @@ seeds and checks invariants that must hold on *every* sample path:
 * event counters are mutually consistent.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.analysis.experiments import run_experiment
 from repro.analysis.sweep import run_sweep
 from repro.gsu.measures import ConstituentSolver

@@ -1,6 +1,5 @@
 """Tests for fleet task planning, execution, and memory-aware chunking."""
 
-import numpy as np
 import pytest
 
 from repro.gsu.fleet import FleetParameters, FleetSolver

@@ -1,7 +1,5 @@
 """Tests for campaign specs, grids, and the task planner."""
 
-import math
-
 import pytest
 
 from repro.gsu.parameters import PAPER_TABLE3

@@ -16,7 +16,6 @@ from repro.san.export import (
     model_to_dict,
     model_to_dot,
 )
-from repro.san.gates import InputGate
 from repro.san.model import SANModel
 from repro.san.places import Place
 from repro.san.reachability import explore

@@ -200,23 +200,19 @@ class TestStagedUpgradeScenario:
         assert "n_upgraded and mu_legacy" in capsys.readouterr().err
 
     def test_serve_parse_accepts_staged_fields(self):
-        from repro.serve.service import PerformabilityService
+        # POST /fleet parses its "fleet" object with the shared parser.
+        from repro.query import fleet_params
 
-        params = PerformabilityService._parse_fleet_params(
-            {"fleet": {"n_processes": 3, "n_upgraded": 1, "mu_legacy": 2e-4}}
-        )
+        params = fleet_params({"n_processes": 3, "n_upgraded": 1, "mu_legacy": 2e-4})
         assert params.staged
         assert params.n_upgraded == 1
-        null_params = PerformabilityService._parse_fleet_params(
-            {"fleet": {"n_processes": 3, "n_upgraded": None,
-                       "mu_legacy": None}}
+        null_params = fleet_params(
+            {"n_processes": 3, "n_upgraded": None, "mu_legacy": None}
         )
         assert not null_params.staged
 
     def test_serve_parse_rejects_bad_staged_fields(self):
-        from repro.serve.service import HttpError, PerformabilityService
+        from repro.query import QueryError, fleet_params
 
-        with pytest.raises(HttpError):
-            PerformabilityService._parse_fleet_params(
-                {"fleet": {"n_upgraded": 1}}
-            )
+        with pytest.raises(QueryError):
+            fleet_params({"n_upgraded": 1})

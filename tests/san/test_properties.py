@@ -10,7 +10,6 @@ Random cyclic SAN models are generated and checked for:
 * token conservation when the model moves a fixed token population.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,11 +1,9 @@
 """Tests for reachability-graph generation and vanishing elimination."""
 
-import numpy as np
 import pytest
 
 from repro.san.activities import Case, InstantaneousActivity, TimedActivity
 from repro.san.errors import StateSpaceError
-from repro.san.gates import OutputGate
 from repro.san.marking import Marking
 from repro.san.model import SANModel
 from repro.san.places import Place

@@ -1,13 +1,11 @@
 """Tests for reward structures and reward-variable solutions."""
 
-import numpy as np
 import pytest
 
 from repro.san.activities import Case, TimedActivity
 from repro.san.ctmc_builder import build_ctmc
 from repro.san.errors import RewardSpecificationError
 from repro.san.gates import InputGate
-from repro.san.marking import Marking
 from repro.san.model import SANModel
 from repro.san.places import Place
 from repro.san.rewards import (

@@ -6,7 +6,6 @@ markings.  Random declarative model specs must build chains equivalent
 to the same model built through the programmatic API.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -11,7 +11,9 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.gsu.measures import ConstituentSolver
+from repro.gsu.optimizer import find_optimal_phi
 from repro.gsu.parameters import PAPER_TABLE3
 from repro.gsu.performability import evaluate_batch
 from repro.serve.loadgen import request_once
@@ -118,6 +120,7 @@ class TestEvaluate:
             ({"phis": [1e12]}, "invalid phi"),
             ({"phis": ["abc"]}, "invalid phi"),
             ({"step": -5.0}, "invalid step"),
+            ({"step": 0.1}, "more than 4096 points"),
         ],
     )
     def test_validation_errors_are_400(self, server, body, fragment):
@@ -127,6 +130,27 @@ class TestEvaluate:
         )
         assert status == 400
         assert fragment in payload["error"]
+
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            (
+                ["evaluate", "--phi", "100", "--coverage", "2"],
+                {"params": {"coverage": 2}, "phis": [100]},
+            ),
+            (["evaluate", "--phi", "20000"], {"phis": [20000]}),
+            (["sweep", "--step", "0"], {"step": 0}),
+        ],
+        ids=["override", "phi", "step"],
+    )
+    def test_400_text_is_the_cli_message(self, server, capsys, argv, body):
+        assert main(argv) == 2
+        cli_message = capsys.readouterr().err.strip()
+        status, _, payload = request_once(
+            *server.address, "/evaluate", "POST", body
+        )
+        assert status == 400
+        assert cli_message == f"error: {payload['error']}"
 
     def test_non_object_body_is_400(self, server):
         status, _, data = raw_request(
@@ -172,6 +196,22 @@ class TestOptimal:
         best = max(range(len(grid["values"])), key=grid["values"].__getitem__)
         assert payload["phi"] == grid["phis"][best]
         assert payload["y"] == grid["values"][best]
+
+    def test_endpoint_optimum_refined_like_the_cli(self, server):
+        # On a {0, theta} grid the optimum is the endpoint theta; the
+        # served answer refines [0, theta] exactly as `repro optimal`.
+        status, _, payload = request_once(
+            *server.address, "/optimal", "POST",
+            {"step": 10_000.0, "refine": True},
+        )
+        assert status == 200
+        direct = find_optimal_phi(
+            PAPER_TABLE3, step=10_000.0, refine=True,
+            solver=ConstituentSolver(PAPER_TABLE3),
+        )
+        assert payload["refined"] is True
+        assert (payload["phi"], payload["y"]) == (direct.phi, direct.y)
+        assert (direct.phi, direct.y) == (6677.239089921646, 1.5373599725077052)
 
     def test_bad_step_is_400(self, server):
         status, _, payload = request_once(

@@ -401,3 +401,38 @@ class TestFleetCli:
     def test_mode_flag_removed(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--mode", "flat"])
+
+
+#: Bad input across the verbs; each must exit 2 with a clean message.
+BAD_INPUT = [
+    ["evaluate", "--phi", "20000"],
+    ["evaluate", "--phi", "100", "--coverage", "2"],
+    ["sweep", "--step", "2500", "--mu-new", "-1"],
+    ["sweep", "--step", "0"],
+    ["optimal", "--step", "-5"],
+    ["campaign", "FIG9", "--step", "0"],
+    ["export-model", "rmgd", "--theta", "-1"],
+    ["validate", "--replications", "0"],
+    ["hybrid", "--replications", "0"],
+    ["validate", "--phi", "1e9"],
+    ["measure", "rmgd", "--predicate", "MARK(nope)==1", "--at", "1"],
+    ["measure", "rmgd", "--predicate", "MARK(detected)==1", "--at", "-5"],
+    ["solve", "/nonexistent.json", "--predicate", "MARK(up)==1"],
+]
+
+
+def exit_status(argv):
+    """``main``'s status, counting argparse's ``SystemExit`` as one."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+    def test_exits_2_with_clean_message(self, argv, capsys):
+        assert exit_status(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err

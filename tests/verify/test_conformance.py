@@ -8,7 +8,6 @@ from repro.des.stats import ConfidenceInterval
 from repro.gsu.measures import ConstituentSolver
 from repro.verify.conformance import (
     VERIFY_PROFILES,
-    VerifyProfile,
     composed_verdicts,
     constituent_verdicts,
     measure_verdict,
