@@ -156,12 +156,15 @@ class ResultCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {"schema": self.schema_version, "key": key, "record": record}
+        # One ``dumps`` call runs the C encoder; ``json.dump`` streams
+        # through the pure-Python one.  The bytes are the same.
+        text = json.dumps(envelope, sort_keys=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(envelope, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:

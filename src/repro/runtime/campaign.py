@@ -53,7 +53,8 @@ class RuntimeConfig:
     artifacts_dir:
         Where run manifests are written; ``None`` skips artifacts.
     chunk_size:
-        Points per dispatched chunk (``None`` = auto-balanced).
+        Points per dispatched chunk (``None`` = one chunk per curve;
+        see :data:`repro.runtime.executor.MIN_SPLIT_POINTS`).
     batch:
         Solve cache-missing chunks with the batched per-curve solver
         (default) or point by point (``--no-batch``).

@@ -11,18 +11,26 @@ Three backends behind one interface:
     ``ProcessPoolExecutor`` — full CPU parallelism; tasks and records
     are plain picklable data by construction.
 
-Tasks are grouped into *chunks* of same-parameter work before dispatch
-so each worker compiles the four base models once per chunk instead of
-once per point.  Results are reassembled strictly in the order the
-tasks were submitted — backend choice, chunking, completion order, and
-worker count never change the output, only the wall clock.
+Every entry point probes the cache, cuts the cache-missing tasks into
+*chunks* and hands them to one dispatcher, :func:`_dispatch`.  On the
+campaign and fleet paths a chunk is a whole curve (every missing point
+of one parameter set), so a worker builds the models and pays the
+per-curve steady-state and spectral work once; a curve is split only
+when there are fewer curves than workers and it is longer than
+:data:`MIN_SPLIT_POINTS`.  A verification block or a surrogate fit node
+is one chunk.  The parent writes each chunk's cache entries as soon as
+the chunk completes, while the pool computes the rest, and the first
+failing chunk cancels every chunk not yet started.  Results are
+reassembled strictly in the order the tasks were submitted — backend
+choice, chunking, completion order, and worker count never change the
+output, only the wall clock.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,6 +56,15 @@ from repro.runtime.tasks import (
 
 #: The supported backend names.
 BACKENDS = ("serial", "thread", "process")
+
+#: Curve length above which splitting one curve across idle workers
+#: pays for starting the pool.  Measured on 2 vCPUs with BLAS on one
+#: thread: one table3 curve over ``[0, theta]``, solved serially against
+#: a two-worker process pool with the curve split in two (medians of 5):
+#: 700 points 126 ms serial / 165 ms split, 800 points 200 / 149 ms,
+#: 1,001 points (a 10-hour step) 72-88 / 82-146 ms, 1,024 points
+#: 244 / 163 ms, 4,096 points 700 / 476 ms.  The two cross near 1,000.
+MIN_SPLIT_POINTS = 1000
 
 #: An injectable evaluation function ``(params, phi, solver) -> evaluation``.
 EvaluateFn = Callable[[GSUParameters, float, ConstituentSolver], PerformabilityEvaluation]
@@ -77,6 +94,75 @@ class TaskOutcome:
     cached: bool
 
 
+def _dispatch(
+    tasks: Sequence,
+    backend: str,
+    jobs: int,
+    cache: ResultCache | None,
+    plan: Callable[[list, int], list[list]],
+    call: Callable[[list], tuple],
+) -> list[TaskOutcome]:
+    """Probe, chunk, run and write back; outcomes in submission order.
+
+    ``plan(pending, workers)`` cuts the cache-missing ``(position,
+    task)`` pairs into chunks for ``workers`` concurrent workers (one on
+    the serial backend).  ``call(chunk)`` is ``(worker, *args)``; the
+    worker returns one ``(record, seconds)`` per task of the chunk.
+    Each chunk's entries are written as soon as it completes.  When a
+    chunk raises, chunks not yet started are cancelled, the chunks still
+    running are awaited and written, and the exception propagates.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+    outcomes: dict[int, TaskOutcome] = {}
+    pending: list[tuple[int, object]] = []
+    for position, task in enumerate(tasks):
+        record = cache.get(task) if cache is not None else None
+        if record is not None:
+            outcomes[position] = TaskOutcome(
+                task=task, record=record, seconds=0.0, cached=True
+            )
+        else:
+            pending.append((position, task))
+    chunks = plan(pending, 1 if backend == "serial" else jobs)
+
+    def finish(chunk, results):
+        for (position, task), (record, seconds) in zip(chunk, results):
+            if cache is not None:
+                cache.put(task, record)
+            outcomes[position] = TaskOutcome(
+                task=task, record=record, seconds=seconds, cached=False
+            )
+
+    if backend == "serial" or jobs == 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            worker, *args = call(chunk)
+            finish(chunk, worker(*args))
+    else:
+        pool_class = (
+            ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
+        )
+        with pool_class(max_workers=jobs) as pool:
+            futures = {}
+            for chunk in chunks:
+                worker, *args = call(chunk)
+                futures[pool.submit(worker, *args)] = chunk
+            try:
+                for future in as_completed(futures):
+                    finish(futures.pop(future), future.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                for future, chunk in futures.items():
+                    if not future.cancelled() and future.exception() is None:
+                        finish(chunk, future.result())
+                raise
+
+    return [outcomes[position] for position in range(len(tasks))]
+
+
 def _solve_points(
     params: GSUParameters,
     phis: Sequence[float],
@@ -93,7 +179,9 @@ def _solve_points(
     forces the point-by-point path so instrumentation stubs observe one
     call per point.  ``parametric`` selects template re-stamping versus
     fresh model compilation for this chunk's solver (results are bitwise
-    identical either way).
+    identical either way).  A process-pool worker keeps its own template
+    cache, so with structure-ordered chunks it compiles each model
+    structure once and re-stamps for every later chunk it serves.
     """
     solver = ConstituentSolver(params, parametric=parametric)
     if batch and evaluate_fn is None:
@@ -115,30 +203,22 @@ def _solve_points(
     return results
 
 
-def _solve_points_remote(
-    params: GSUParameters,
-    phis: tuple[float, ...],
-    batch: bool = True,
-    parametric: bool = True,
-) -> list[tuple[dict, float]]:
-    """Module-level chunk worker for the process backend (picklable).
+def _chunk_length(
+    group_size: int, jobs: int, chunk_size: int | None, groups: int = 1
+) -> int:
+    """Points per chunk: explicit, else the whole curve.
 
-    Each worker process holds its own shared template cache, so with
-    structure-ordered chunks it compiles each model structure once and
-    re-stamps for every subsequent chunk it serves.
+    A curve longer than :data:`MIN_SPLIT_POINTS` is cut into equal parts
+    when there are fewer curves (``groups``) than workers, one part per
+    otherwise idle worker.
     """
-    return _solve_points(params, phis, batch=batch, parametric=parametric)
-
-
-def _chunk_length(group_size: int, jobs: int, chunk_size: int | None) -> int:
-    """Points per chunk: explicit, else ~2 chunks per worker per group."""
     if chunk_size is not None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         return chunk_size
-    if jobs <= 1:
+    if groups >= jobs or group_size <= MIN_SPLIT_POINTS:
         return group_size
-    return max(1, math.ceil(group_size / (2 * jobs)))
+    return math.ceil(group_size / math.ceil(jobs / groups))
 
 
 #: Canonical budget reader — shared with the streaming solver path so a
@@ -153,6 +233,7 @@ def _memory_aware_chunk_length(
     chunk_size: int | None,
     num_states: int,
     workers: int,
+    groups: int = 1,
 ) -> int:
     """Chunk length capped so concurrent chunks fit the memory budget.
 
@@ -164,7 +245,7 @@ def _memory_aware_chunk_length(
     small (streamed through the solver in more, shorter passes) while
     leaving small-model chunking untouched.
     """
-    length = _chunk_length(group_size, jobs, chunk_size)
+    length = _chunk_length(group_size, jobs, chunk_size, groups)
     if chunk_size is not None:
         return length  # explicit request wins; the user sized it
     per_chunk_budget = memory_budget_bytes() // max(workers, 1)
@@ -174,6 +255,16 @@ def _memory_aware_chunk_length(
     if available <= row_bytes:
         return 1
     return max(1, min(length, int(available // row_bytes)))
+
+
+def _split(group: list, length: int) -> list[list]:
+    """``group`` cut into consecutive chunks of ``length`` tasks."""
+    return [group[start : start + length] for start in range(0, len(group), length)]
+
+
+def _singletons(pending: list, _workers: int) -> list[list]:
+    """One chunk per task: blocks and fit nodes are chunk-sized already."""
+    return [[item] for item in pending]
 
 
 def execute_tasks(
@@ -199,15 +290,15 @@ def execute_tasks(
         Worker count for the ``thread``/``process`` backends.
     cache:
         Optional result cache — hits skip the solver entirely, misses
-        are computed and written back.
+        are computed and written back as each chunk completes.
     evaluate_fn:
         Evaluation override for instrumentation (e.g. counting stub
         solvers in tests).  Supported on the in-process backends only;
         the process backend would need to pickle it.  Forces the
         point-by-point path regardless of ``batch``.
     chunk_size:
-        Points per dispatched chunk; default sizes chunks to roughly
-        two per worker per curve for load balance.
+        Points per dispatched chunk; by default a chunk is one whole
+        curve (see :data:`MIN_SPLIT_POINTS` for when a curve is split).
     batch:
         When true (the default), each chunk of cache-missing points is
         solved in one batched pass (one solver run per model and reward
@@ -221,91 +312,34 @@ def execute_tasks(
         keys, and records are bitwise identical either way
         (``--no-parametric`` is the cross-validation escape hatch).
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if evaluate_fn is not None and backend == "process":
         raise ValueError(
             "evaluate_fn overrides require the serial or thread backend"
         )
 
-    outcomes: dict[int, TaskOutcome] = {}
-    pending: list[tuple[int, EvaluationTask]] = []
-    for position, task in enumerate(tasks):
-        record = cache.get(task) if cache is not None else None
-        if record is not None:
-            outcomes[position] = TaskOutcome(
-                task=task, record=record, seconds=0.0, cached=True
+    def plan(pending, workers):
+        # Parameter sets sharing a state-space template dispatch
+        # consecutively on the parametric path, so pool workers compile
+        # each structure at most once.
+        groups = group_by_params(pending)
+        if parametric:
+            groups = order_groups_by_structure(groups)
+        return [
+            chunk
+            for group in groups.values()
+            for chunk in _split(
+                group, _chunk_length(len(group), workers, chunk_size, len(groups))
             )
-        else:
-            pending.append((position, task))
-
-    # Group pending work by parameter set, ordered by structure key on
-    # the parametric path (parameter sets sharing a state-space template
-    # dispatch consecutively, so pool workers compile each structure at
-    # most once), then split each group into chunks for the worker pool.
-    groups = group_by_params(pending)
-    if parametric:
-        groups = order_groups_by_structure(groups)
-    chunks: list[list[tuple[int, EvaluationTask]]] = []
-    for group in groups.values():
-        length = _chunk_length(len(group), jobs, chunk_size)
-        chunks.extend(
-            group[start : start + length] for start in range(0, len(group), length)
-        )
-
-    def _chunk_args(chunk):
-        return chunk[0][1].params, tuple(task.phi for _, task in chunk)
-
-    if backend == "serial" or jobs == 1 or len(chunks) <= 1:
-        solved = [
-            _solve_points(
-                *_chunk_args(chunk),
-                evaluate_fn=evaluate_fn,
-                batch=batch,
-                parametric=parametric,
-            )
-            for chunk in chunks
         ]
-    elif backend == "thread":
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _solve_points,
-                    *_chunk_args(chunk),
-                    evaluate_fn=evaluate_fn,
-                    batch=batch,
-                    parametric=parametric,
-                )
-                for chunk in chunks
-            ]
-            solved = [future.result() for future in futures]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _solve_points_remote,
-                    *_chunk_args(chunk),
-                    batch=batch,
-                    parametric=parametric,
-                )
-                for chunk in chunks
-            ]
-            solved = [future.result() for future in futures]
 
-    for chunk, results in zip(chunks, solved):
-        for (position, task), (record, seconds) in zip(chunk, results):
-            if cache is not None:
-                cache.put(task, record)
-            outcomes[position] = TaskOutcome(
-                task=task, record=record, seconds=seconds, cached=False
-            )
+    def call(chunk):
+        phis = tuple(task.phi for _, task in chunk)
+        return _solve_points, chunk[0][1].params, phis, evaluate_fn, batch, parametric
 
-    return [outcomes[position] for position in range(len(tasks))]
+    return _dispatch(tasks, backend, jobs, cache, plan, call)
 
 
-def _simulate_verify_block(task: VerificationTask) -> tuple[dict, float]:
+def _simulate_verify_block(task: VerificationTask) -> list[tuple[dict, float]]:
     """Module-level block worker for verification tasks (picklable).
 
     The import is deferred so the evaluation-only runtime path never
@@ -324,7 +358,7 @@ def _simulate_verify_block(task: VerificationTask) -> tuple[dict, float]:
         steady_horizon=task.steady_horizon,
         steady_warmup=task.steady_warmup,
     )
-    return record, time.perf_counter() - start
+    return [(record, time.perf_counter() - start)]
 
 
 def execute_verify_tasks(
@@ -336,54 +370,18 @@ def execute_verify_tasks(
     """Execute verification blocks and return outcomes in submission order.
 
     Blocks are already the scheduling granularity (one replication batch
-    of one base model), so there is no chunking layer: each cache-missing
-    block dispatches as one unit of work to the selected backend.  The
-    same content-addressed cache serves hits — a block's key covers its
-    seed and block index, so cached samples are bit-identical to a fresh
-    simulation.
+    of one base model), so each cache-missing block dispatches as one
+    chunk.  The same content-addressed cache serves hits — a block's key
+    covers its seed and block index, so cached samples are bit-identical
+    to a fresh simulation.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-    outcomes: dict[int, TaskOutcome] = {}
-    pending: list[tuple[int, VerificationTask]] = []
-    for position, task in enumerate(tasks):
-        record = cache.get(task) if cache is not None else None
-        if record is not None:
-            outcomes[position] = TaskOutcome(
-                task=task, record=record, seconds=0.0, cached=True
-            )
-        else:
-            pending.append((position, task))
-
-    if backend == "serial" or jobs == 1 or len(pending) <= 1:
-        solved = [_simulate_verify_block(task) for _, task in pending]
-    elif backend == "thread":
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_simulate_verify_block, task) for _, task in pending
-            ]
-            solved = [future.result() for future in futures]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_simulate_verify_block, task) for _, task in pending
-            ]
-            solved = [future.result() for future in futures]
-
-    for (position, task), (record, seconds) in zip(pending, solved):
-        if cache is not None:
-            cache.put(task, record)
-        outcomes[position] = TaskOutcome(
-            task=task, record=record, seconds=seconds, cached=False
-        )
-
-    return [outcomes[position] for position in range(len(tasks))]
+    return _dispatch(
+        tasks, backend, jobs, cache, _singletons,
+        lambda chunk: (_simulate_verify_block, chunk[0][1]),
+    )
 
 
-def _solve_surrogate_node(task: SurrogateFitTask) -> tuple[dict, float]:
+def _solve_surrogate_node(task: SurrogateFitTask) -> list[tuple[dict, float]]:
     """Module-level fit-node worker (picklable for the process pool).
 
     One batched :meth:`ConstituentSolver.batch` pass over the node's phi
@@ -401,7 +399,7 @@ def _solve_surrogate_node(task: SurrogateFitTask) -> tuple[dict, float]:
         "phis": [float(phi) for phi in task.phis],
         "constituents": constituents,
     }
-    return record, time.perf_counter() - start
+    return [(record, time.perf_counter() - start)]
 
 
 def execute_surrogate_tasks(
@@ -413,52 +411,15 @@ def execute_surrogate_tasks(
     """Execute surrogate fit nodes and return outcomes in submission order.
 
     A node is already chunk-sized work (one batched grid solve at one
-    lever point), so like verification blocks there is no extra chunking
-    layer; each cache-missing node dispatches as one unit.  Fitting is
-    therefore cached, parallel, and resumable for free: re-running a fit
-    whose nodes are cached touches no solver at all.
+    lever point), so like verification blocks each cache-missing node
+    dispatches as one chunk.  Fitting is therefore cached, parallel, and
+    resumable for free: re-running a fit whose nodes are cached touches
+    no solver at all.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-    outcomes: dict[int, TaskOutcome] = {}
-    pending: list[tuple[int, SurrogateFitTask]] = []
-    for position, task in enumerate(tasks):
-        record = cache.get(task) if cache is not None else None
-        if record is not None:
-            outcomes[position] = TaskOutcome(
-                task=task, record=record, seconds=0.0, cached=True
-            )
-        else:
-            pending.append((position, task))
-
-    if backend == "serial" or jobs == 1 or len(pending) <= 1:
-        solved = [_solve_surrogate_node(task) for _, task in pending]
-    elif backend == "thread":
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_solve_surrogate_node, task)
-                for _, task in pending
-            ]
-            solved = [future.result() for future in futures]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_solve_surrogate_node, task)
-                for _, task in pending
-            ]
-            solved = [future.result() for future in futures]
-
-    for (position, task), (record, seconds) in zip(pending, solved):
-        if cache is not None:
-            cache.put(task, record)
-        outcomes[position] = TaskOutcome(
-            task=task, record=record, seconds=seconds, cached=False
-        )
-
-    return [outcomes[position] for position in range(len(tasks))]
+    return _dispatch(
+        tasks, backend, jobs, cache, _singletons,
+        lambda chunk: (_solve_surrogate_node, chunk[0][1]),
+    )
 
 
 def _solve_fleet_chunk(
@@ -475,27 +436,22 @@ def _solve_fleet_chunk(
     start = time.perf_counter()
     values = solver.batch(phis)
     per_point = (time.perf_counter() - start) / max(len(values), 1)
-    records = []
-    for phi, measures in zip(phis, values):
-        records.append(
-            (
-                {
-                    "kind": "fleet.Y",
-                    "params": params.to_dict(),
-                    "phi": float(phi),
-                    "mode": mode,
-                    "Y": measures["Y"],
-                    "operational_time": measures["operational_time"],
-                    "states": (
-                        params.flat_states
-                        if mode == "flat"
-                        else params.lumped_states
-                    ),
-                },
-                per_point,
-            )
+    states = params.flat_states if mode == "flat" else params.lumped_states
+    return [
+        (
+            {
+                "kind": "fleet.Y",
+                "params": params.to_dict(),
+                "phi": float(phi),
+                "mode": mode,
+                "Y": measures["Y"],
+                "operational_time": measures["operational_time"],
+                "states": states,
+            },
+            per_point,
         )
-    return records
+        for phi, measures in zip(phis, values)
+    ]
 
 
 def execute_fleet_tasks(
@@ -508,73 +464,35 @@ def execute_fleet_tasks(
     """Execute fleet tasks and return outcomes in submission order.
 
     Mirrors :func:`execute_tasks` — cache probe, group by (params,
-    mode), chunk, dispatch — with one difference: chunk sizing is
-    *memory-aware*.  Flat fleet models materialise a grid-rows block of
-    ``points x 4**N`` doubles per chunk, so the chunk length is capped
-    to keep all in-flight chunks inside :func:`memory_budget_bytes`
-    (override with ``REPRO_MEMORY_BUDGET_MB``).  An explicit
-    ``chunk_size`` always wins.
+    mode), one chunk per curve, dispatch — with one difference: chunk
+    sizing is *memory-aware*.  Flat fleet models materialise a grid-rows
+    block of ``points x 4**N`` doubles per chunk, so the chunk length is
+    capped to keep all in-flight chunks inside
+    :func:`memory_budget_bytes` (override with
+    ``REPRO_MEMORY_BUDGET_MB``).  An explicit ``chunk_size`` always wins.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    outcomes: dict[int, TaskOutcome] = {}
-    pending: list[tuple[int, FleetTask]] = []
-    for position, task in enumerate(tasks):
-        record = cache.get(task) if cache is not None else None
-        if record is not None:
-            outcomes[position] = TaskOutcome(
-                task=task, record=record, seconds=0.0, cached=True
+    def plan(pending, workers):
+        groups: dict[tuple[FleetParameters, str], list] = {}
+        for position, task in pending:
+            groups.setdefault((task.params, task.mode), []).append(
+                (position, task)
             )
-        else:
-            pending.append((position, task))
+        chunks = []
+        for (params, mode), group in groups.items():
+            num_states = (
+                params.flat_states if mode == "flat" else params.lumped_states
+            )
+            length = _memory_aware_chunk_length(
+                len(group), workers, chunk_size, num_states, workers, len(groups)
+            )
+            chunks.extend(_split(group, length))
+        return chunks
 
-    groups: dict[tuple[FleetParameters, str], list[tuple[int, FleetTask]]] = {}
-    for position, task in pending:
-        groups.setdefault((task.params, task.mode), []).append(
-            (position, task)
-        )
-
-    chunks: list[list[tuple[int, FleetTask]]] = []
-    for (params, mode), group in groups.items():
-        num_states = params.flat_states if mode == "flat" else params.lumped_states
-        length = _memory_aware_chunk_length(
-            len(group), jobs, chunk_size, num_states, workers=jobs
-        )
-        chunks.extend(
-            group[start : start + length]
-            for start in range(0, len(group), length)
-        )
-
-    def _chunk_args(chunk):
+    def call(chunk):
         task = chunk[0][1]
-        return task.params, task.mode, tuple(t.phi for _, t in chunk)
+        return _solve_fleet_chunk, task.params, task.mode, tuple(
+            t.phi for _, t in chunk
+        )
 
-    if backend == "serial" or jobs == 1 or len(chunks) <= 1:
-        solved = [_solve_fleet_chunk(*_chunk_args(chunk)) for chunk in chunks]
-    elif backend == "thread":
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_solve_fleet_chunk, *_chunk_args(chunk))
-                for chunk in chunks
-            ]
-            solved = [future.result() for future in futures]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_solve_fleet_chunk, *_chunk_args(chunk))
-                for chunk in chunks
-            ]
-            solved = [future.result() for future in futures]
-
-    for chunk, results in zip(chunks, solved):
-        for (position, task), (record, seconds) in zip(chunk, results):
-            if cache is not None:
-                cache.put(task, record)
-            outcomes[position] = TaskOutcome(
-                task=task, record=record, seconds=seconds, cached=False
-            )
-
-    return [outcomes[position] for position in range(len(tasks))]
+    return _dispatch(tasks, backend, jobs, cache, plan, call)

@@ -7,6 +7,7 @@ key-schema version.
 """
 
 import dataclasses
+import io
 import json
 import logging
 
@@ -21,10 +22,11 @@ from repro.runtime.cache import (
     TieredResultCache,
 )
 from repro.runtime.campaign import RuntimeConfig, run_campaign
-from repro.runtime.executor import execute_fleet_tasks
+from repro.runtime.executor import _solve_surrogate_node, execute_fleet_tasks
 from repro.runtime.spec import CampaignSpec, CurveSpec
 from repro.runtime.tasks import (
     CACHE_KEY_SCHEMA_VERSION,
+    SurrogateFitTask,
     plan_campaign,
     plan_fleet_tasks,
 )
@@ -225,6 +227,36 @@ class TestKeying:
         result = run_campaign(spec, cache=cache, no_cache=True)
         assert result.cache_stats is None
         assert len(cache) == 0
+
+
+class TestEntryBytes:
+    """``put`` writes exactly the bytes a streamed ``json.dump`` gave."""
+
+    @staticmethod
+    def _streamed(cache, task, record):
+        handle = io.StringIO()
+        envelope = {
+            "schema": cache.schema_version,
+            "key": cache.key_for(task),
+            "record": record,
+        }
+        json.dump(envelope, handle, sort_keys=True)
+        return handle.getvalue().encode()
+
+    def test_campaign_record(self, cache):
+        (outcome,) = run_campaign(small_spec(phis=(5000.0,))).outcomes
+        path = cache.put(outcome.task, outcome.record)
+        assert path.read_bytes() == self._streamed(
+            cache, outcome.task, outcome.record
+        )
+
+    def test_fit_node_record(self, cache):
+        task = SurrogateFitTask(
+            index=0, params=PAPER_TABLE3, phis=(0.0, 2500.0, 10_000.0)
+        )
+        ((record, _seconds),) = _solve_surrogate_node(task)
+        path = cache.put(task, record)
+        assert path.read_bytes() == self._streamed(cache, task, record)
 
 
 class TestMemoryLRUCache:

@@ -75,6 +75,29 @@ class TestExecution:
         for a, b in zip(serial, parallel):
             assert a.record == b.record
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parallel_chunks_bitwise_match_serial(self, backend):
+        # One curve is one chunk by default; an explicit chunk size
+        # still spreads it over the pool, one point per chunk.
+        tasks = plan_fleet_tasks(PARAMS, PHIS)
+        serial = execute_fleet_tasks(tasks)
+        chunked = execute_fleet_tasks(
+            tasks, backend=backend, jobs=2, chunk_size=1
+        )
+        for a, b in zip(serial, chunked):
+            assert a.record == b.record
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_non_stiff_fleet_independent_of_jobs(self, backend):
+        # A short theta takes the uniformization walk, whose rows move
+        # in the last bits with the grid; a whole-curve chunk keeps the
+        # grid, and so the records, the same at any job count.
+        params = FleetParameters(n_processes=3, theta=10.0)
+        tasks = plan_fleet_tasks(params, [i * 1.0 for i in range(11)])
+        serial = execute_fleet_tasks(tasks)
+        parallel = execute_fleet_tasks(tasks, backend=backend, jobs=2)
+        assert [o.record for o in parallel] == [o.record for o in serial]
+
     def test_chunking_never_changes_bits(self):
         tasks = plan_fleet_tasks(PARAMS, PHIS)
         whole = execute_fleet_tasks(tasks)
