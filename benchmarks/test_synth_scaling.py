@@ -9,9 +9,10 @@ trajectories from the cache without a single solve.
 
 Three timed passes over the identical problem:
 
-* **naive** — ``parametric=False, max_solvers=0``, no cache: every
-  point pays symbolic compilation plus a fresh solve (the baseline a
-  per-point re-solve harness would);
+* **naive** — :func:`naive_evaluate`, no cache: every call rebuilds the
+  four models from scratch (``ConstituentSolver(params,
+  parametric=False)``) and solves afresh (the baseline a per-point
+  re-solve harness would);
 * **cold**  — templates + solver LRU, empty step cache;
 * **warm**  — same evaluator, same cache: a full replay.
 
@@ -25,18 +26,30 @@ import os
 import time
 
 from benchmarks.conftest import REPORTS_DIR, write_bench_json
+from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
+from repro.gsu.performability import evaluate_batch
 from repro.runtime.cache import MemoryLRUCache
 from repro.synth import (
     SynthesisConfig,
     SynthesisProblem,
     local_evaluate_fn,
+    overhead_from_constituents,
     resolve_levers,
     run_synthesis,
 )
 
 #: Required naive-run / warm-replay ratio (full profile only).
 SYNTH_BENCH_SPEEDUP = 3.0
+
+
+def naive_evaluate(params, phis):
+    """``[(Y, overhead), ...]`` with no template and no solver reuse."""
+    solver = ConstituentSolver(params, parametric=False)
+    return [
+        (e.value, overhead_from_constituents(e.constituents))
+        for e in evaluate_batch(params, list(phis), solver=solver)
+    ]
 
 
 def _profile() -> str:
@@ -71,11 +84,9 @@ def test_synthesis_templates_and_cache_speedup():
         )
         return result, time.perf_counter() - start
 
-    naive_result, naive_seconds = timed(
-        local_evaluate_fn(parametric=False, max_solvers=0), cache=None
-    )
+    naive_result, naive_seconds = timed(naive_evaluate, cache=None)
     cache = MemoryLRUCache()
-    fast_fn = local_evaluate_fn(parametric=True)
+    fast_fn = local_evaluate_fn()
     cold_result, cold_seconds = timed(fast_fn, cache)
     warm_result, warm_seconds = timed(fast_fn, cache)
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import GSUParameters
-from repro.gsu.performability import PerformabilityEvaluation, sweep_phi
+from repro.gsu.performability import PerformabilityEvaluation
 from repro.runtime.spec import default_grid as _default_grid
 
 #: Relative tolerance for matching a ``phi`` against grid points in
@@ -106,14 +105,11 @@ def run_sweep(
     label: str = "",
     phis: list[float] | None = None,
     step: float = 1000.0,
-    solver: ConstituentSolver | None = None,
     jobs: int | None = None,
     backend: str | None = None,
     cache=None,
-    batch: bool | None = None,
-    parametric: bool | None = None,
 ) -> SweepResult:
-    """Evaluate one ``Y(phi)`` curve.
+    """Evaluate one ``Y(phi)`` curve through the campaign runtime.
 
     Parameters
     ----------
@@ -124,43 +120,18 @@ def run_sweep(
     phis:
         Explicit grid; default is the paper's 1000-hour grid over
         ``[0, theta]`` (``step`` configurable).
-    solver:
-        Optional pre-built solver.  When given, the sweep runs directly
-        in-process against it (model reuse with externally compiled
-        models cannot cross worker boundaries); otherwise the sweep
-        routes through the campaign runtime and honours the installed
-        :class:`~repro.runtime.campaign.RuntimeConfig`.
     jobs / backend / cache:
         Runtime overrides, forwarded to
-        :func:`~repro.runtime.campaign.run_campaign`.
-    batch:
-        Use the batched per-curve solver (default) or the point-by-point
-        path (``--no-batch``); ``None`` defers to the runtime config on
-        the campaign path.
-    parametric:
-        Re-stamp compiled state-space templates (default) or rebuild
-        models per parameter set (``--no-parametric``); ``None`` defers
-        to the runtime config on the campaign path.  Ignored when a
-        pre-built ``solver`` is supplied (that solver already chose).
+        :func:`~repro.runtime.campaign.run_campaign`; unset ones honour
+        the installed :class:`~repro.runtime.campaign.RuntimeConfig`.
     """
     if not label:
         label = (
             f"theta={params.theta:g}, mu_new={params.mu_new:g}, "
             f"c={params.coverage:g}, alpha={params.alpha:g}"
         )
-    if solver is not None:
-        if phis is None:
-            phis = default_grid(params.theta, step=step)
-        evaluations = sweep_phi(
-            params, phis, solver=solver, batch=batch if batch is not None else True
-        )
-        points = tuple(
-            SweepPoint(phi=e.phi, y=e.value, evaluation=e) for e in evaluations
-        )
-        return SweepResult(label=label, params=params, points=points)
-
-    # Route through the campaign runtime (lazy import: the runtime
-    # imports this module to assemble SweepResults).
+    # Lazy import: the runtime imports this module to assemble
+    # SweepResults.
     from repro.runtime.campaign import run_campaign
     from repro.runtime.spec import CampaignSpec, CurveSpec
 
@@ -175,12 +146,5 @@ def run_sweep(
             ),
         ),
     )
-    result = run_campaign(
-        spec,
-        backend=backend,
-        jobs=jobs,
-        cache=cache,
-        batch=batch,
-        parametric=parametric,
-    )
+    result = run_campaign(spec, backend=backend, jobs=jobs, cache=cache)
     return result.sweeps[0]

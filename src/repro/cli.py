@@ -22,7 +22,8 @@ Model-bound commands accept the Table 3 parameter overrides
 ``--p-ext``, ``--alpha``, ``--beta``).  Batch commands (``sweep``,
 ``optimal``, ``experiment``, ``campaign``) accept the campaign-runtime
 flags (``--jobs``, ``--backend``, ``--cache-dir``, ``--no-cache``,
-``--run-dir``, ``--no-batch``, ``--no-parametric``).
+``--run-dir``); every run solves its cache misses through the one
+batched, template-restamped solve path.
 
 Every verb validates its input through :mod:`repro.query`, the same
 rules ``repro serve`` applies to HTTP bodies.  Exit status: 0 success,
@@ -163,12 +164,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         help="content-addressed result cache directory",
     )
     group.add_argument(
-        "--memory-cache", type=_positive_int, default=None, metavar="ENTRIES",
-        help="put an in-memory LRU tier of this many entries in front "
-             "of the result cache (manifests then report per-tier hit "
-             "rates; default: off)",
-    )
-    group.add_argument(
         "--no-cache", action="store_true",
         help="disable the result cache even if --cache-dir is set",
     )
@@ -176,38 +171,17 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         "--run-dir", default=None, metavar="DIR",
         help="write a run manifest and results under this directory",
     )
-    group.add_argument(
-        "--no-batch", action="store_true",
-        help=(
-            "solve sweep points one by one instead of batching each "
-            "curve through a single solver pass (cross-validation "
-            "escape hatch; slower, same results to well under 1e-10)"
-        ),
-    )
-    group.add_argument(
-        "--no-parametric", action="store_true",
-        help=(
-            "rebuild the four SAN models from scratch for every "
-            "parameter set instead of re-stamping compiled state-space "
-            "templates (cross-validation escape hatch; slower, bitwise-"
-            "identical results)"
-        ),
-    )
 
 
 def _runtime_config_from(args: argparse.Namespace) -> RuntimeConfig:
     backend = args.backend
     if backend is None:
         backend = "process" if args.jobs > 1 else "serial"
-    memory_cache = getattr(args, "memory_cache", None)
     return RuntimeConfig(
         backend=backend,
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
         artifacts_dir=args.run_dir,
-        batch=not args.no_batch,
-        parametric=not args.no_parametric,
-        memory_cache=0 if args.no_cache or memory_cache is None else memory_cache,
     )
 
 
@@ -680,19 +654,12 @@ def _cmd_experiment(args) -> int:
     return status
 
 
-def _print_cache_stats(stats, tiers=None) -> None:
+def _print_cache_stats(stats) -> None:
     print(
         f"cache: {stats.hits} hits, {stats.misses} misses, "
         f"{stats.corrupt} corrupt, {stats.writes} writes "
         f"(hit rate {stats.hit_rate:.0%})"
     )
-    for tier, tier_stats in (tiers or {}).items():
-        print(
-            f"  {tier} tier: {tier_stats.hits} hits, "
-            f"{tier_stats.misses} misses, "
-            f"{tier_stats.evictions} evictions "
-            f"(hit rate {tier_stats.hit_rate:.0%})"
-        )
 
 
 def _cmd_campaign(args) -> int:
@@ -730,7 +697,7 @@ def _cmd_campaign(args) -> int:
                 f"solver {result.solver_seconds:.2f}s"
             )
             if result.cache_stats is not None:
-                _print_cache_stats(result.cache_stats, result.cache_tier_stats)
+                _print_cache_stats(result.cache_stats)
             if result.artifacts is not None:
                 print(f"manifest: {result.artifacts.manifest_path}")
             print()
@@ -753,10 +720,7 @@ def _cmd_fleet(args) -> int:
         },
         FleetParameters.from_gsu(_params(args)),
     )
-    phis = args.phis
-    if phis is None and args.step is None:
-        phis = [i * params.theta / 10 for i in range(11)]
-    phis = query.phi_grid(params, phis, args.step)
+    phis = query.fleet_grid(params, args.phis, args.step)
 
     config = _runtime_config_from(args)
     cache = config.make_cache()
@@ -803,7 +767,6 @@ def _cmd_synthesize(args) -> int:
     from repro.synth import (
         accumulated_distribution,
         apply_point,
-        local_evaluate_fn,
         run_synthesis,
         synthesis_conformance,
     )
@@ -826,7 +789,6 @@ def _cmd_synthesize(args) -> int:
         problem,
         synth_config,
         cache=config.make_cache(),
-        evaluate_fn=local_evaluate_fn(parametric=config.parametric),
         surrogate=surrogate,
     )
 

@@ -23,7 +23,6 @@ from repro.gsu.performability import (
     build_translation_pipeline,
     evaluate_batch,
     evaluate_index,
-    sweep_phi,
 )
 from repro.gsu.optimizer import OptimalDuration, find_optimal_phi
 from repro.gsu.hybrid import HybridEvaluation, hybrid_evaluate
@@ -42,6 +41,5 @@ __all__ = [
     "evaluate_index",
     "find_optimal_phi",
     "hybrid_evaluate",
-    "sweep_phi",
     "validate_constituents",
 ]

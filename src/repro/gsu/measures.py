@@ -154,9 +154,11 @@ class ConstituentSolver:
     With ``parametric=True`` (the default) models come from the
     process-wide template cache of :mod:`repro.gsu.templates`: the state
     space is explored once per model structure and each parameter set is
-    a cheap rate re-stamp, bitwise identical to a fresh build.
+    a cheap rate re-stamp, bitwise identical to a fresh build.  Every
+    campaign, sweep and verification run solves this way.
     ``parametric=False`` forces fresh ``build_ctmc`` compiles — the
-    cross-validation escape hatch behind ``--no-parametric``.
+    reference the oracles and tests hold the re-stamp path to (see
+    :func:`repro.verify.oracles.constituent_paths_disagreement`).
     """
 
     def __init__(self, params: GSUParameters, parametric: bool = True):

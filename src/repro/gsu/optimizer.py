@@ -18,8 +18,8 @@ from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import GSUParameters
 from repro.gsu.performability import (
     PerformabilityEvaluation,
+    evaluate_batch,
     evaluate_index,
-    sweep_phi,
 )
 
 #: Golden ratio constant for the section search.
@@ -92,7 +92,7 @@ def find_optimal_phi(
     grid = default_grid(params.theta, step=step)
     if solver is not None:
         # Batched: one solver pass per model serves the whole coarse grid.
-        evaluations = sweep_phi(params, grid, solver=solver)
+        evaluations = evaluate_batch(params, grid, solver=solver)
     else:
         # Route the coarse grid through the campaign runtime.
         from repro.runtime.campaign import run_campaign

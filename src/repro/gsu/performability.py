@@ -523,23 +523,3 @@ def evaluate_batch(
         for phi, constituents in zip(phi_list, solver.batch(phi_list))
     ]
 
-
-def sweep_phi(
-    params: GSUParameters,
-    phis: Sequence[float],
-    solver: ConstituentSolver | None = None,
-    batch: bool = True,
-) -> list[PerformabilityEvaluation]:
-    """Evaluate ``Y`` over a sequence of durations, sharing base models.
-
-    With ``batch=True`` (the default) the whole curve is produced by
-    :func:`evaluate_batch` — one solver pass per (model, reward
-    structure).  ``batch=False`` forces the original point-by-point
-    path, kept as a cross-validation escape hatch (``--no-batch`` on the
-    CLI).
-    """
-    if solver is None:
-        solver = ConstituentSolver(params)
-    if batch:
-        return evaluate_batch(params, phis, solver=solver)
-    return [evaluate_index(params, phi, solver=solver) for phi in phis]

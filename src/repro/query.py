@@ -109,6 +109,15 @@ def phi_grid(params, phis=None, step=None, max_points=None) -> list[float]:
         return [params.validate_phi(float(phi)) for phi in phis]
 
 
+def fleet_grid(params, phis=None, step=None, max_points=None) -> list[float]:
+    """A fleet ``phi`` grid: :func:`phi_grid`, except that with neither
+    ``phis`` nor ``step`` it is the 11 points ``0, theta/10, ..., theta``
+    (``repro fleet`` and ``POST /fleet`` share this default)."""
+    if phis is None and step is None:
+        phis = [i * params.theta / 10 for i in range(11)]
+    return phi_grid(params, phis, step, max_points)
+
+
 def synthesis_request(
     params, levers, bounds, budget, max_iters, starts, caps=(None, None)
 ):

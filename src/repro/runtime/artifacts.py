@@ -90,18 +90,16 @@ def write_run_artifacts(
     wall_seconds: float,
     cache: ResultCache | None = None,
     run_stats: "CacheStats | None" = None,
-    run_tier_stats: "dict[str, CacheStats] | None" = None,
     template_stats: "TemplateCacheStats | None" = None,
 ) -> RunArtifacts:
     """Write the manifest and results files for one campaign run.
 
     ``run_stats`` holds this run's cache counters; when omitted, the
-    cache instance's lifetime counters are recorded instead.  With a
-    tiered cache, ``run_tier_stats`` adds the per-tier (memory vs.
-    disk) breakdown under ``cache.tiers``.  ``template_stats`` records
-    this run's SAN template-cache traffic (compiles / restamps /
-    fallbacks) under ``templates`` so template-vs-exact solver routing
-    is observable per run, mirroring the serve layer's ``/metrics``.
+    cache instance's lifetime counters are recorded instead.
+    ``template_stats`` records this run's SAN template-cache traffic
+    (compiles / restamps / fallbacks) under ``templates`` so
+    template-vs-exact solver routing is observable per run, mirroring
+    the serve layer's ``/metrics``.
     """
     run_dir = _unique_run_dir(Path(root), spec.name)
     run_dir.mkdir(parents=True, exist_ok=False)
@@ -117,10 +115,6 @@ def write_run_artifacts(
         "schema_version": cache.schema_version if cache is not None else None,
         **((run_stats or cache.stats).to_dict() if cache is not None else {}),
     }
-    if run_tier_stats is not None:
-        cache_entry["tiers"] = {
-            name: stats.to_dict() for name, stats in run_tier_stats.items()
-        }
     templates_entry = (
         template_stats.to_dict() if template_stats is not None else None
     )

@@ -283,9 +283,8 @@ class TieredResultCache:
     directory is configured).
 
     ``stats`` is the *combined* per-lookup view — one ``get`` counts one
-    lookup, a hit in either tier counts as a hit — which keeps the
-    campaign runtime's per-run delta reporting working unchanged.
-    ``tier_stats`` exposes the per-tier counters for manifests.
+    lookup, a hit in either tier counts as a hit.  ``tier_stats``
+    exposes the per-tier counters for the serving layer's ``/metrics``.
     """
 
     def __init__(self, memory: MemoryLRUCache, disk: ResultCache | None = None):

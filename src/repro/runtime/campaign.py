@@ -22,13 +22,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from repro.runtime.artifacts import RunArtifacts, write_run_artifacts
-from repro.runtime.cache import (
-    CacheStats,
-    MemoryLRUCache,
-    ResultCache,
-    TieredResultCache,
-)
-from repro.runtime.executor import EvaluateFn, TaskOutcome, execute_tasks
+from repro.runtime.cache import CacheStats, ResultCache
+from repro.runtime.executor import TaskOutcome, execute_tasks
 from repro.runtime.records import evaluation_from_record
 from repro.runtime.spec import CampaignSpec
 from repro.runtime.tasks import plan_campaign
@@ -55,18 +50,6 @@ class RuntimeConfig:
     chunk_size:
         Points per dispatched chunk (``None`` = one chunk per curve;
         see :data:`repro.runtime.executor.MIN_SPLIT_POINTS`).
-    batch:
-        Solve cache-missing chunks with the batched per-curve solver
-        (default) or point by point (``--no-batch``).
-    parametric:
-        Obtain chunk models by re-stamping compiled state-space
-        templates and dispatch chunks in structure-key order (default),
-        or rebuild every model from scratch (``--no-parametric``).
-        Bitwise-identical results either way.
-    memory_cache:
-        Entry capacity of an in-memory LRU tier placed in front of the
-        on-disk cache (``0`` disables the tier).  With a tier enabled,
-        run manifests report memory- and disk-tier hit rates separately.
     """
 
     backend: str = "serial"
@@ -74,27 +57,12 @@ class RuntimeConfig:
     cache_dir: Path | str | None = None
     artifacts_dir: Path | str | None = None
     chunk_size: int | None = None
-    batch: bool = True
-    parametric: bool = True
-    memory_cache: int = 0
 
-    def make_cache(self) -> ResultCache | TieredResultCache | None:
-        """A cache matching the config (``None`` when fully disabled).
-
-        ``cache_dir`` alone gives the plain on-disk store;
-        ``memory_cache > 0`` fronts it with (or, without a directory,
-        replaces it by) an in-memory LRU tier.
-        """
-        disk = (
-            ResultCache(root=Path(self.cache_dir))
-            if self.cache_dir is not None
-            else None
-        )
-        if self.memory_cache > 0:
-            return TieredResultCache(
-                MemoryLRUCache(max_entries=self.memory_cache), disk
-            )
-        return disk
+    def make_cache(self) -> ResultCache | None:
+        """The on-disk cache at ``cache_dir`` (``None`` when unset)."""
+        if self.cache_dir is None:
+            return None
+        return ResultCache(root=Path(self.cache_dir))
 
 
 #: The process-wide default configuration (serial, uncached).
@@ -139,14 +107,10 @@ class CampaignResult:
         Per-task execution records, in plan order.
     cache_stats:
         Cache counters for this run (``None`` when caching was off).
-        With a tiered cache these are the combined per-lookup counters.
     wall_seconds:
         End-to-end wall time of the run.
     artifacts:
         Manifest locations (``None`` when artifacts were off).
-    cache_tier_stats:
-        Per-tier (``memory`` / ``disk``) counters for this run; ``None``
-        unless a tiered cache served it.
     template_stats:
         This run's SAN template-cache traffic (compiles / restamps /
         fallbacks) in the executing process — the in-process share of
@@ -159,7 +123,6 @@ class CampaignResult:
     cache_stats: CacheStats | None
     wall_seconds: float
     artifacts: RunArtifacts | None
-    cache_tier_stats: dict[str, CacheStats] | None = None
     template_stats: "TemplateCacheStats | None" = None
 
     @property
@@ -211,28 +174,20 @@ def run_campaign(
     no_cache: bool = False,
     artifacts_dir: Path | str | None = None,
     chunk_size: int | None = None,
-    evaluate_fn: EvaluateFn | None = None,
-    batch: bool | None = None,
-    parametric: bool | None = None,
 ) -> CampaignResult:
     """Plan, execute, and archive one campaign.
 
     Explicit arguments override the installed :class:`RuntimeConfig`;
     unspecified ones inherit from it.  ``cache`` takes precedence over
     ``cache_dir``; ``no_cache=True`` disables caching regardless of the
-    configuration.  ``batch`` selects the per-curve batched solver for
-    cache misses (config default: on) — results agree with the
-    point-by-point path to well under 1e-10 and cache keys are
-    identical either way.  ``parametric`` selects template re-stamping
-    over per-parameter model rebuilds (config default: on) — results
-    and cache keys are bitwise identical either way.
+    configuration.  Cache misses are solved batched per curve on
+    template-restamped models — the one solve path, so a record served
+    from the cache equals the record a fresh solve would write.
     """
     config = get_config()
     backend = backend if backend is not None else config.backend
     jobs = jobs if jobs is not None else config.jobs
     chunk_size = chunk_size if chunk_size is not None else config.chunk_size
-    batch = batch if batch is not None else config.batch
-    parametric = parametric if parametric is not None else config.parametric
     if artifacts_dir is None:
         artifacts_dir = config.artifacts_dir
     if no_cache:
@@ -246,11 +201,6 @@ def run_campaign(
     stats_before = (
         replace(cache.stats) if cache is not None else None
     )
-    tiers_before = (
-        {name: replace(stats) for name, stats in cache.tier_stats().items()}
-        if isinstance(cache, TieredResultCache)
-        else None
-    )
     from repro.gsu.templates import shared_cache
 
     templates_before = shared_cache().stats.snapshot()
@@ -261,25 +211,14 @@ def run_campaign(
         backend=backend,
         jobs=jobs,
         cache=cache,
-        evaluate_fn=evaluate_fn,
         chunk_size=chunk_size,
-        batch=batch,
-        parametric=parametric,
     )
     sweeps = _assemble_sweeps(spec, outcomes)
     wall_seconds = time.perf_counter() - start
 
     # Per-run stats: the delta over this run, so a cache shared across
     # campaigns reports each run's own hits and misses.
-    run_stats = None
-    run_tier_stats = None
-    if cache is not None:
-        run_stats = cache.stats.delta(stats_before)
-        if tiers_before is not None:
-            run_tier_stats = {
-                name: stats.delta(tiers_before[name])
-                for name, stats in cache.tier_stats().items()
-            }
+    run_stats = cache.stats.delta(stats_before) if cache is not None else None
     template_stats = shared_cache().stats.delta(templates_before)
 
     artifacts = None
@@ -294,7 +233,6 @@ def run_campaign(
             wall_seconds=wall_seconds,
             cache=cache,
             run_stats=run_stats,
-            run_tier_stats=run_tier_stats,
             template_stats=template_stats,
         )
 
@@ -305,6 +243,5 @@ def run_campaign(
         cache_stats=run_stats,
         wall_seconds=wall_seconds,
         artifacts=artifacts,
-        cache_tier_stats=run_tier_stats,
         template_stats=template_stats,
     )

@@ -17,7 +17,9 @@ campaign and fleet paths a chunk is a whole curve (every missing point
 of one parameter set), so a worker builds the models and pays the
 per-curve steady-state and spectral work once; a curve is split only
 when there are fewer curves than workers and it is longer than
-:data:`MIN_SPLIT_POINTS`.  A verification block or a surrogate fit node
+:data:`MIN_SPLIT_POINTS`.  Every campaign chunk is solved one way, by
+:func:`_solve_points`: one ``evaluate_batch`` pass on a
+template-restamped solver.  A verification block or a surrogate fit node
 is one chunk.  The parent writes each chunk's cache entries as soon as
 the chunk completes, while the pool computes the rest, and the first
 failing chunk cancels every chunk not yet started.  Results are
@@ -38,11 +40,7 @@ from repro.ctmc import config
 from repro.gsu.fleet import FleetParameters, FleetSolver
 from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import GSUParameters
-from repro.gsu.performability import (
-    PerformabilityEvaluation,
-    evaluate_batch,
-    evaluate_index,
-)
+from repro.gsu.performability import evaluate_batch
 from repro.runtime.cache import ResultCache
 from repro.runtime.records import record_from_evaluation
 from repro.runtime.tasks import (
@@ -66,9 +64,6 @@ BACKENDS = ("serial", "thread", "process")
 #: 244 / 163 ms, 4,096 points 700 / 476 ms.  The two cross near 1,000.
 MIN_SPLIT_POINTS = 1000
 
-#: An injectable evaluation function ``(params, phi, solver) -> evaluation``.
-EvaluateFn = Callable[[GSUParameters, float, ConstituentSolver], PerformabilityEvaluation]
-
 
 @dataclass(frozen=True)
 class TaskOutcome:
@@ -81,9 +76,8 @@ class TaskOutcome:
     record:
         The plain-data evaluation record (see :mod:`repro.runtime.records`).
     seconds:
-        Solver wall time attributed to this point: the direct solve time
-        on the point-by-point path, the point's share of its chunk's
-        batched solve on the batched path, 0.0 when served from cache.
+        Solver wall time attributed to this point: its share of its
+        chunk's batched solve, 0.0 when served from cache.
     cached:
         Whether the record came from the result cache.
     """
@@ -164,43 +158,24 @@ def _dispatch(
 
 
 def _solve_points(
-    params: GSUParameters,
-    phis: Sequence[float],
-    evaluate_fn: EvaluateFn | None = None,
-    batch: bool = True,
-    parametric: bool = True,
+    params: GSUParameters, phis: Sequence[float]
 ) -> list[tuple[dict, float]]:
-    """Evaluate one chunk of same-parameter points with a shared solver.
+    """Evaluate one chunk of same-parameter points in one batched pass.
 
-    With ``batch=True`` (and no ``evaluate_fn`` override) the whole
-    chunk goes through :func:`~repro.gsu.performability.evaluate_batch`
-    — one solver pass per (model, reward structure) — and each point
-    reports its share of the chunk's wall time.  An ``evaluate_fn``
-    forces the point-by-point path so instrumentation stubs observe one
-    call per point.  ``parametric`` selects template re-stamping versus
-    fresh model compilation for this chunk's solver (results are bitwise
-    identical either way).  A process-pool worker keeps its own template
+    The chunk goes through :func:`~repro.gsu.performability.evaluate_batch`
+    on a template-restamped :class:`ConstituentSolver` — one solver pass
+    per (model, reward structure) — and each point reports its share of
+    the chunk's wall time.  A process-pool worker keeps its own template
     cache, so with structure-ordered chunks it compiles each model
     structure once and re-stamps for every later chunk it serves.
     """
-    solver = ConstituentSolver(params, parametric=parametric)
-    if batch and evaluate_fn is None:
-        start = time.perf_counter()
-        evaluations = evaluate_batch(params, list(phis), solver=solver)
-        per_point = (time.perf_counter() - start) / max(len(evaluations), 1)
-        return [
-            (record_from_evaluation(evaluation), per_point)
-            for evaluation in evaluations
-        ]
-    evaluate = evaluate_fn or evaluate_index
-    results: list[tuple[dict, float]] = []
-    for phi in phis:
-        start = time.perf_counter()
-        evaluation = evaluate(params, phi, solver)
-        results.append(
-            (record_from_evaluation(evaluation), time.perf_counter() - start)
-        )
-    return results
+    start = time.perf_counter()
+    evaluations = evaluate_batch(params, list(phis))
+    per_point = (time.perf_counter() - start) / max(len(evaluations), 1)
+    return [
+        (record_from_evaluation(evaluation), per_point)
+        for evaluation in evaluations
+    ]
 
 
 def _chunk_length(
@@ -272,10 +247,7 @@ def execute_tasks(
     backend: str = "serial",
     jobs: int = 1,
     cache: ResultCache | None = None,
-    evaluate_fn: EvaluateFn | None = None,
     chunk_size: int | None = None,
-    batch: bool = True,
-    parametric: bool = True,
 ) -> list[TaskOutcome]:
     """Execute tasks and return outcomes in submission order.
 
@@ -291,39 +263,19 @@ def execute_tasks(
     cache:
         Optional result cache — hits skip the solver entirely, misses
         are computed and written back as each chunk completes.
-    evaluate_fn:
-        Evaluation override for instrumentation (e.g. counting stub
-        solvers in tests).  Supported on the in-process backends only;
-        the process backend would need to pickle it.  Forces the
-        point-by-point path regardless of ``batch``.
     chunk_size:
         Points per dispatched chunk; by default a chunk is one whole
         curve (see :data:`MIN_SPLIT_POINTS` for when a curve is split).
-    batch:
-        When true (the default), each chunk of cache-missing points is
-        solved in one batched pass (one solver run per model and reward
-        structure) instead of point by point.  Cache keys and record
-        contents are unaffected — only how misses are computed changes.
-    parametric:
-        When true (the default), chunk solvers obtain their models by
-        re-stamping compiled state-space templates instead of rebuilding
-        them, and chunks are dispatched in structure-key order so each
-        worker compiles every structure at most once.  Results, cache
-        keys, and records are bitwise identical either way
-        (``--no-parametric`` is the cross-validation escape hatch).
+
+    Each chunk of cache-missing points is solved in one batched pass
+    (see :func:`_solve_points`).
     """
-    if evaluate_fn is not None and backend == "process":
-        raise ValueError(
-            "evaluate_fn overrides require the serial or thread backend"
-        )
 
     def plan(pending, workers):
         # Parameter sets sharing a state-space template dispatch
-        # consecutively on the parametric path, so pool workers compile
-        # each structure at most once.
-        groups = group_by_params(pending)
-        if parametric:
-            groups = order_groups_by_structure(groups)
+        # consecutively, so pool workers compile each structure at most
+        # once.
+        groups = order_groups_by_structure(group_by_params(pending))
         return [
             chunk
             for group in groups.values()
@@ -333,8 +285,7 @@ def execute_tasks(
         ]
 
     def call(chunk):
-        phis = tuple(task.phi for _, task in chunk)
-        return _solve_points, chunk[0][1].params, phis, evaluate_fn, batch, parametric
+        return _solve_points, chunk[0][1].params, tuple(t.phi for _, t in chunk)
 
     return _dispatch(tasks, backend, jobs, cache, plan, call)
 

@@ -404,7 +404,7 @@ class PerformabilityService:
                 f"unsupported mode {mode!r}: fleet queries are answered "
                 f"exactly on the lumped quotient (mode 'lumped')"
             )
-        phis = query.phi_grid(
+        phis = query.fleet_grid(
             params, body.get("phis"), body.get("step"), MAX_GRID_POINTS
         )
         tasks = plan_fleet_tasks(params, phis)

@@ -86,17 +86,14 @@ def overhead_from_constituents(constituents) -> float:
     return (2.0 - float(constituents["rho1"])) - float(constituents["rho2"])
 
 
-def local_evaluate_fn(
-    parametric: bool = True, max_solvers: int = 8
-) -> EvaluateFn:
+def local_evaluate_fn(max_solvers: int = 8) -> EvaluateFn:
     """The in-process evaluator: batched solves over shared solvers.
 
     Keeps a small LRU of :class:`ConstituentSolver` instances keyed by
     parameter set, so the phi coordinate of a gradient step (three
     durations, one parameter set) costs one batched pass and revisited
     parameter sets reuse their compiled models.  ``max_solvers=0``
-    disables reuse — the naive per-point re-solve mode the synthesis
-    benchmark compares against (pair it with ``parametric=False``).
+    disables reuse.
     """
     from repro.gsu.measures import ConstituentSolver
     from repro.gsu.performability import evaluate_batch
@@ -106,7 +103,7 @@ def local_evaluate_fn(
     def evaluate(params, phis):
         solver = solvers.get(params)
         if solver is None:
-            solver = ConstituentSolver(params, parametric=parametric)
+            solver = ConstituentSolver(params)
             if max_solvers > 0:
                 solvers[params] = solver
                 while len(solvers) > max_solvers:

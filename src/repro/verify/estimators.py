@@ -209,7 +209,6 @@ def simulate_block(
     block: int,
     steady_horizon: float | None = None,
     steady_warmup: float | None = None,
-    parametric: bool = True,
 ) -> dict:
     """Simulate one replication block of one base model.
 
@@ -231,7 +230,7 @@ def simulate_block(
     """
     if model_key not in MODEL_KEYS:
         raise ValueError(f"unknown model {model_key!r}; expected one of {MODEL_KEYS}")
-    solver = ConstituentSolver(params, parametric=parametric)
+    solver = ConstituentSolver(params)
     rng = block_rng(seed, model_key, block)
     theta = params.theta
     samples: dict[str, list[dict]] = {}

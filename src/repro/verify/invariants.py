@@ -189,7 +189,6 @@ def check_worth(
 def check_cutoff_continuity(
     params: GSUParameters,
     epsilon: float | None = None,
-    parametric: bool = True,
 ) -> list[InvariantCheck]:
     """``E[W_phi]`` and ``Y`` must be continuous across ``phi -> 0+``.
 
@@ -201,13 +200,9 @@ def check_cutoff_continuity(
     sample-path decomposition (Eqs. 10-14) double-counts or drops mass
     at the boundary.
     """
-    from repro.gsu.measures import ConstituentSolver
-
     if epsilon is None:
         epsilon = 1e-4 * params.theta
-    solver = ConstituentSolver(params, parametric=parametric)
-    evaluations = evaluate_batch(params, [0.0, float(epsilon)], solver=solver)
-    at_zero, at_eps = evaluations[0], evaluations[1]
+    at_zero, at_eps = evaluate_batch(params, [0.0, float(epsilon)])
 
     budget_e = CONTINUITY_SLOPE_BOUND * epsilon
     delta_e = abs(at_eps.worth.guarded - at_zero.worth.unguarded)
@@ -236,7 +231,6 @@ def check_all(
     analytic_by_phi: Mapping[float, Mapping[str, float]],
     params: GSUParameters,
     tolerance: float = DEFAULT_TOLERANCE,
-    parametric: bool = True,
 ) -> list[InvariantCheck]:
     """Every invariant over a solved phi grid, plus the cutoff checks."""
     checks: list[InvariantCheck] = []
@@ -244,7 +238,7 @@ def check_all(
         constituents = analytic_by_phi[phi]
         checks.extend(check_constituents(constituents, phi, tolerance))
         checks.extend(check_worth(constituents, params, phi, tolerance))
-    checks.extend(check_cutoff_continuity(params, parametric=parametric))
+    checks.extend(check_cutoff_continuity(params))
     return checks
 
 

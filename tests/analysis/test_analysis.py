@@ -5,16 +5,12 @@ import pytest
 from repro.analysis.plotting import ascii_curves
 from repro.analysis.sweep import default_grid, run_sweep
 from repro.analysis.tables import format_table, optimum_table, sweep_table
-from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
 
 
 @pytest.fixture(scope="module")
 def quick_sweep():
-    solver = ConstituentSolver(PAPER_TABLE3)
-    return run_sweep(
-        PAPER_TABLE3, label="base", step=2500.0, solver=solver
-    )
+    return run_sweep(PAPER_TABLE3, label="base", step=2500.0)
 
 
 class TestGrid:
@@ -73,15 +69,11 @@ class TestSweep:
             quick_sweep.value_at(7500.0 + 1.0)
 
     def test_default_label_summarises_parameters(self):
-        solver = ConstituentSolver(PAPER_TABLE3)
-        sweep = run_sweep(PAPER_TABLE3, step=5000.0, solver=solver)
+        sweep = run_sweep(PAPER_TABLE3, step=5000.0)
         assert "mu_new" in sweep.label
 
     def test_explicit_grid(self):
-        solver = ConstituentSolver(PAPER_TABLE3)
-        sweep = run_sweep(
-            PAPER_TABLE3, phis=[0.0, 5000.0], solver=solver
-        )
+        sweep = run_sweep(PAPER_TABLE3, phis=[0.0, 5000.0])
         assert sweep.phis == [0.0, 5000.0]
 
 
@@ -101,10 +93,7 @@ class TestTables:
             assert f"{phi:g}" in text
 
     def test_sweep_table_rejects_mismatched_grids(self, quick_sweep):
-        solver = ConstituentSolver(PAPER_TABLE3)
-        other = run_sweep(
-            PAPER_TABLE3, phis=[0.0, 10_000.0], label="other", solver=solver
-        )
+        other = run_sweep(PAPER_TABLE3, phis=[0.0, 10_000.0], label="other")
         with pytest.raises(ValueError):
             sweep_table([quick_sweep, other])
 
@@ -138,10 +127,7 @@ class TestAsciiCurves:
             ascii_curves([])
 
     def test_rejects_mismatched_grids(self, quick_sweep):
-        solver = ConstituentSolver(PAPER_TABLE3)
-        other = run_sweep(
-            PAPER_TABLE3, phis=[0.0, 10_000.0], label="other", solver=solver
-        )
+        other = run_sweep(PAPER_TABLE3, phis=[0.0, 10_000.0], label="other")
         with pytest.raises(ValueError):
             ascii_curves([quick_sweep, other])
 

@@ -13,12 +13,8 @@ import pytest
 
 from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
-from repro.gsu.performability import (
-    evaluate_batch,
-    evaluate_index,
-    sweep_phi,
-)
-from repro.runtime.spec import figure_campaign
+from repro.gsu.performability import evaluate_batch, evaluate_index
+from repro.runtime.spec import default_grid, figure_campaign
 from repro.san.rewards import DEFAULT_METHOD
 
 #: The nine constituent measures the translation pipeline produces.
@@ -35,23 +31,30 @@ MEASURE_NAMES = {
 }
 
 
+def assert_batch_matches_scalar(params, phis, tolerance=1e-10):
+    """``evaluate_batch`` agrees with an ``evaluate_index`` loop."""
+    solver = ConstituentSolver(params)
+    batched = evaluate_batch(params, phis, solver=solver)
+    scalar = [evaluate_index(params, phi, solver=solver) for phi in phis]
+    for b, s in zip(batched, scalar):
+        assert b.phi == s.phi
+        assert abs(b.value - s.value) <= tolerance
+        for name in MEASURE_NAMES:
+            assert abs(b.constituents[name] - s.constituents[name]) <= tolerance
+
+
 class TestBatchMatchesScalar:
     @pytest.mark.parametrize("figure", ["FIG9", "FIG10", "FIG11", "FIG12"])
     def test_figure_curves_agree_within_1e10(self, figure):
-        spec = figure_campaign(figure)
-        for curve in spec.curves:
-            phis = list(curve.grid())
-            solver = ConstituentSolver(curve.params)
-            batched = sweep_phi(curve.params, phis, solver=solver, batch=True)
-            scalar = sweep_phi(curve.params, phis, solver=solver, batch=False)
-            for b, s in zip(batched, scalar):
-                assert b.phi == s.phi
-                assert abs(b.value - s.value) <= 1e-10
-                for name in MEASURE_NAMES:
-                    assert (
-                        abs(b.constituents[name] - s.constituents[name])
-                        <= 1e-10
-                    )
+        for curve in figure_campaign(figure).curves:
+            assert_batch_matches_scalar(curve.params, list(curve.grid()))
+
+    @pytest.mark.parametrize("theta", [10.0, 100.0])
+    def test_short_theta_curves_agree_within_1e10(self, theta):
+        # Short missions are where the two paths differ in the last bits
+        # (about 1e-11 at worst), unlike the bitwise agreement at 1e4.
+        params = PAPER_TABLE3.with_overrides(theta=theta)
+        assert_batch_matches_scalar(params, default_grid(theta, step=theta / 10))
 
     def test_batch_is_bitwise_scalar_on_table3(self):
         # The runtime promises bit-identical results across backends and

@@ -10,8 +10,8 @@ from repro.gsu.parameters import PAPER_TABLE3
 from repro.gsu.performability import (
     aggregate_breakdown,
     build_translation_pipeline,
+    evaluate_batch,
     evaluate_index,
-    sweep_phi,
 )
 
 
@@ -105,11 +105,11 @@ class TestPaperHeadlineNumbers:
 
 class TestSweep:
     def test_sweep_shares_models(self, solver):
-        evs = sweep_phi(PAPER_TABLE3, [0.0, 2000.0, 4000.0], solver=solver)
+        evs = evaluate_batch(PAPER_TABLE3, [0.0, 2000.0, 4000.0], solver=solver)
         assert [e.phi for e in evs] == [0.0, 2000.0, 4000.0]
 
     def test_sweep_without_solver(self):
-        evs = sweep_phi(PAPER_TABLE3, [0.0, 10_000.0])
+        evs = evaluate_batch(PAPER_TABLE3, [0.0, 10_000.0])
         assert len(evs) == 2
 
 

@@ -1,7 +1,7 @@
 """Tests for the content-addressed result cache (ISSUE satellite).
 
 Covers: cold-run population, warm-run identity with *zero* solver
-invocations (counted via a stub evaluation function), corruption
+invocations (counted by wrapping the executor's ``evaluate_batch``), corruption
 fallback, and cache-key sensitivity to every parameter field and to the
 key-schema version.
 """
@@ -15,13 +15,14 @@ import pytest
 
 from repro.gsu.fleet import FleetParameters
 from repro.gsu.parameters import PAPER_TABLE3
-from repro.gsu.performability import evaluate_index
+from repro.gsu.performability import evaluate_batch
+from repro.runtime import executor
 from repro.runtime.cache import (
     MemoryLRUCache,
     ResultCache,
     TieredResultCache,
 )
-from repro.runtime.campaign import RuntimeConfig, run_campaign
+from repro.runtime.campaign import run_campaign
 from repro.runtime.executor import _solve_surrogate_node, execute_fleet_tasks
 from repro.runtime.spec import CampaignSpec, CurveSpec
 from repro.runtime.tasks import (
@@ -42,14 +43,26 @@ def small_spec(name="cache-test", phis=(0.0, 4000.0, 10_000.0)):
 
 
 class CountingEvaluate:
-    """Evaluation stub that counts constituent-solver invocations."""
+    """Wraps ``evaluate_batch`` and records every point it solves."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, params, phi, solver):
-        self.calls.append((params, phi))
-        return evaluate_index(params, phi, solver=solver)
+    def __call__(self, params, phis, solver=None):
+        self.calls.extend((params, phi) for phi in phis)
+        return evaluate_batch(params, phis, solver=solver)
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Installs a fresh :class:`CountingEvaluate` in the executor."""
+
+    def install():
+        counter = CountingEvaluate()
+        monkeypatch.setattr(executor, "evaluate_batch", counter)
+        return counter
+
+    return install
 
 
 @pytest.fixture
@@ -58,17 +71,17 @@ def cache(tmp_path):
 
 
 class TestColdWarm:
-    def test_cold_populates_then_warm_is_solver_free(self, cache):
+    def test_cold_populates_then_warm_is_solver_free(self, cache, count_solves):
         spec = small_spec()
-        cold_counter = CountingEvaluate()
-        cold = run_campaign(spec, cache=cache, evaluate_fn=cold_counter)
+        cold_counter = count_solves()
+        cold = run_campaign(spec, cache=cache)
         assert len(cold_counter.calls) == 3
         assert cold.cache_stats.misses == 3
         assert cold.cache_stats.writes == 3
         assert len(cache) == 3
 
-        warm_counter = CountingEvaluate()
-        warm = run_campaign(spec, cache=cache, evaluate_fn=warm_counter)
+        warm_counter = count_solves()
+        warm = run_campaign(spec, cache=cache)
         assert warm_counter.calls == []  # zero solver invocations
         assert warm.cache_stats.hits == 3
         assert warm.cache_stats.misses == 0
@@ -83,11 +96,11 @@ class TestColdWarm:
         assert warm_eval.worth == cold_eval.worth
         assert warm_eval.gamma == cold_eval.gamma
 
-    def test_partial_warm_run_solves_only_new_points(self, cache):
+    def test_partial_warm_run_solves_only_new_points(self, cache, count_solves):
         run_campaign(small_spec(), cache=cache)
-        counter = CountingEvaluate()
+        counter = count_solves()
         grown = small_spec(phis=(0.0, 2000.0, 4000.0, 10_000.0))
-        result = run_campaign(grown, cache=cache, evaluate_fn=counter)
+        result = run_campaign(grown, cache=cache)
         assert [phi for _, phi in counter.calls] == [2000.0]
         assert result.cache_stats.hits == 3
         assert result.cache_stats.misses == 1
@@ -118,13 +131,13 @@ class TestCorruption:
         ],
         ids=["garbage", "truncated", "wrong-schema", "wrong-key"],
     )
-    def test_corrupt_entry_recomputes_and_heals(self, cache, damage):
+    def test_corrupt_entry_recomputes_and_heals(self, cache, damage, count_solves):
         spec, task, path = self._one_entry(cache)
         reference = run_campaign(spec, cache=cache)
         damage(path)
 
-        counter = CountingEvaluate()
-        result = run_campaign(spec, cache=cache, evaluate_fn=counter)
+        counter = count_solves()
+        result = run_campaign(spec, cache=cache)
         assert len(counter.calls) == 1  # recomputed, did not crash
         assert result.cache_stats.corrupt == 1
         assert result.sweeps[0].values == reference.sweeps[0].values
@@ -181,7 +194,7 @@ class TestKeying:
             )
             assert cache.key_for(changed) != base_key, name
 
-    def test_schema_version_bump_invalidates(self, tmp_path):
+    def test_schema_version_bump_invalidates(self, tmp_path, count_solves):
         spec = small_spec(phis=(5000.0,))
         current = ResultCache(root=tmp_path / "cache")
         run_campaign(spec, cache=current)
@@ -191,14 +204,14 @@ class TestKeying:
             root=tmp_path / "cache",
             schema_version=CACHE_KEY_SCHEMA_VERSION + 1,
         )
-        counter = CountingEvaluate()
-        result = run_campaign(spec, cache=bumped, evaluate_fn=counter)
+        counter = count_solves()
+        result = run_campaign(spec, cache=bumped)
         assert len(counter.calls) == 1  # old entry unreachable after a bump
         assert result.cache_stats.misses == 1
         # Both versions now coexist without clashing.
         assert len(bumped) == 2
 
-    def test_schema_1_entries_are_never_served(self, tmp_path):
+    def test_schema_1_entries_are_never_served(self, tmp_path, count_solves):
         """Schema 2 marks the move of every matrix-exponential answer
         (by about 1e-10) to shared squarings: no tier of a later schema
         serves a schema-1 entry, for campaign points or fleet points."""
@@ -212,12 +225,14 @@ class TestKeying:
         execute_fleet_tasks([fleet_task], cache=old)
         assert old.get(task) is not None and old.get(fleet_task) is not None
 
-        served = RuntimeConfig(cache_dir=root, memory_cache=16).make_cache()
+        served = TieredResultCache(
+            MemoryLRUCache(max_entries=16), ResultCache(root=root)
+        )
         for probe in (ResultCache(root=root), served):
             assert probe.get(task) is None
             assert probe.get(fleet_task) is None
-        counter = CountingEvaluate()
-        run_campaign(spec, cache=served, evaluate_fn=counter)
+        counter = count_solves()
+        run_campaign(spec, cache=served)
         assert len(counter.calls) == 1
         (outcome,) = execute_fleet_tasks([fleet_task], cache=served)
         assert not outcome.cached
@@ -387,28 +402,15 @@ class TestTieredResultCache:
                 MemoryLRUCache(max_entries=8, schema_version=99), disk
             )
 
-    def test_runtime_config_builds_tiered_cache(self, tmp_path):
-        config = RuntimeConfig(
-            cache_dir=tmp_path / "cache", memory_cache=16
-        )
-        built = config.make_cache()
-        assert isinstance(built, TieredResultCache)
-        assert built.memory.max_entries == 16
-        assert built.root == tmp_path / "cache"
-        memory_only = RuntimeConfig(memory_cache=16).make_cache()
-        assert isinstance(memory_only, TieredResultCache)
-        assert memory_only.root is None
-        assert RuntimeConfig().make_cache() is None
-
     def test_campaign_warm_rerun_served_by_memory_tier(self, tmp_path):
         disk = ResultCache(root=tmp_path / "cache")
         tiered = TieredResultCache(MemoryLRUCache(max_entries=8), disk)
         spec = small_spec(phis=(0.0, 5000.0))
         cold = run_campaign(spec, cache=tiered)
         assert cold.cache_stats.misses == 2
-        assert cold.cache_tier_stats is not None
-        assert cold.cache_tier_stats["memory"].writes == 2
+        assert tiered.tier_stats()["memory"].writes == 2
+        disk_lookups = tiered.tier_stats()["disk"].lookups
         warm = run_campaign(spec, cache=tiered)
         assert warm.cache_stats.hits == 2
-        assert warm.cache_tier_stats["memory"].hits == 2
-        assert warm.cache_tier_stats["disk"].lookups == 0
+        assert tiered.tier_stats()["memory"].hits == 2
+        assert tiered.tier_stats()["disk"].lookups == disk_lookups

@@ -3,10 +3,10 @@
 import json
 
 from repro.analysis.experiments import run_experiment
-from repro.analysis.sweep import run_sweep
 from repro.gsu.measures import ConstituentSolver
 from repro.gsu.optimizer import find_optimal_phi
 from repro.gsu.parameters import PAPER_TABLE3
+from repro.gsu.performability import evaluate_batch
 from repro.runtime.artifacts import code_version
 from repro.runtime.campaign import (
     RuntimeConfig,
@@ -51,6 +51,8 @@ class TestConfig:
 
     def test_campaign_inherits_installed_config(self, tmp_path):
         config = RuntimeConfig(cache_dir=tmp_path / "cache")
+        assert config.make_cache().root == tmp_path / "cache"
+        assert RuntimeConfig().make_cache() is None
         with use_config(config):
             result = run_campaign(tiny_spec())
         assert result.cache_stats is not None
@@ -59,22 +61,20 @@ class TestConfig:
 
 class TestEquivalence:
     def test_fig9_campaign_matches_direct_serial_path(self):
-        """`repro campaign FIG9` == the pre-runtime serial sweep path.
+        """`repro campaign FIG9` == a direct in-process batched solve.
 
         The acceptance bar is 1e-12; the construction gives exact
-        equality (same evaluate_index calls, floats round-tripped via
+        equality (the same evaluate_batch pass, floats round-tripped via
         repr), so assert bit-for-bit.
         """
         campaign = run_campaign(figure_campaign("FIG9"))
         spec = figure_campaign("FIG9")
         for sweep, curve in zip(campaign.sweeps, spec.curves):
-            direct = run_sweep(
-                curve.params,
-                label=curve.label,
-                solver=ConstituentSolver(curve.params),
+            direct = evaluate_batch(
+                curve.params, curve.grid(), solver=ConstituentSolver(curve.params)
             )
-            assert sweep.phis == direct.phis
-            assert sweep.values == direct.values
+            assert sweep.phis == [e.phi for e in direct]
+            assert sweep.values == [e.value for e in direct]
 
     def test_experiment_path_matches_campaign_path(self):
         outcome = run_experiment("FIG9")
@@ -193,41 +193,6 @@ class TestResultShape:
 
 
 class TestTieredManifest:
-    def test_manifest_reports_per_tier_stats(self, tmp_path):
-        from repro.runtime.cache import MemoryLRUCache, ResultCache, TieredResultCache
-
-        tiered = TieredResultCache(
-            MemoryLRUCache(max_entries=8),
-            ResultCache(root=tmp_path / "cache"),
-        )
-        result = run_campaign(
-            tiny_spec(), cache=tiered, artifacts_dir=tmp_path / "runs"
-        )
-        manifest = json.loads(result.artifacts.manifest_path.read_text())
-        tiers = manifest["cache"]["tiers"]
-        assert set(tiers) == {"memory", "disk"}
-        assert tiers["disk"]["misses"] == 2
-        assert tiers["memory"]["writes"] == 2
-        assert set(tiers["memory"]) >= {
-            "hits", "misses", "evictions", "hit_rate", "writes"
-        }
-        assert result.cache_tier_stats["disk"].misses == 2
-
-    def test_tier_stats_are_per_run_deltas(self, tmp_path):
-        from repro.runtime.cache import MemoryLRUCache, ResultCache, TieredResultCache
-
-        tiered = TieredResultCache(
-            MemoryLRUCache(max_entries=8),
-            ResultCache(root=tmp_path / "cache"),
-        )
-        run_campaign(tiny_spec(), cache=tiered)
-        warm = run_campaign(tiny_spec(), cache=tiered)
-        assert warm.cache_stats.hits == 2
-        assert warm.cache_stats.misses == 0
-        assert warm.cache_tier_stats["memory"].hits == 2
-        assert warm.cache_tier_stats["memory"].writes == 0
-        assert warm.cache_tier_stats["disk"].lookups == 0
-
     def test_plain_cache_has_no_tier_block(self, tmp_path):
         result = run_campaign(
             tiny_spec(),
@@ -236,4 +201,3 @@ class TestTieredManifest:
         )
         manifest = json.loads(result.artifacts.manifest_path.read_text())
         assert "tiers" not in manifest["cache"]
-        assert result.cache_tier_stats is None

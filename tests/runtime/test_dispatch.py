@@ -14,7 +14,7 @@ import pytest
 
 from repro.gsu.fleet import FleetParameters
 from repro.gsu.parameters import PAPER_TABLE3
-from repro.gsu.performability import evaluate_index
+from repro.gsu.performability import evaluate_batch
 from repro.runtime import executor
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import run_campaign
@@ -60,7 +60,7 @@ class ChunkSpy:
         self.lengths = []
         self._lock = threading.Lock()
 
-    def points(self, params, phis, *options):
+    def points(self, params, phis):
         return self._record(phis)
 
     def fleet(self, params, mode, phis):
@@ -196,7 +196,7 @@ class TestFailFast:
                 released.set()
                 super().shutdown(wait=wait)
 
-        def evaluate(params, phi, solver):
+        def evaluate(params, phis, solver=None):
             if params not in started:
                 started.append(params)
             if params == failing:
@@ -204,12 +204,14 @@ class TestFailFast:
                 raise RuntimeError("injected chunk failure")
             other_started.set()
             released.wait(10)
-            return evaluate_index(params, phi, solver=solver)
+            return evaluate_batch(params, phis, solver=solver)
 
         monkeypatch.setattr(executor, "ThreadPoolExecutor", ReleasingPool)
+        monkeypatch.setattr(executor, "evaluate_batch", evaluate)
         cache = ResultCache(root=tmp_path / "cache")
         with pytest.raises(RuntimeError, match="injected"):
-            execute_tasks(tasks, "thread", 2, cache, evaluate_fn=evaluate)
+            execute_tasks(tasks, "thread", 2, cache)
+        monkeypatch.undo()
 
         # The failing chunk, the one held alongside it, and at most one
         # more the freed worker took before the cancel; the rest never ran.

@@ -104,11 +104,3 @@ class TestValidation:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             execute_tasks(plan_campaign(SPEC), jobs=0)
-
-    def test_evaluate_fn_needs_in_process_backend(self):
-        with pytest.raises(ValueError, match="evaluate_fn"):
-            execute_tasks(
-                plan_campaign(SPEC),
-                backend="process",
-                evaluate_fn=lambda params, phi, solver: None,
-            )

@@ -1,7 +1,10 @@
 """End-to-end tests for ``POST /fleet`` and the solver dispatch metrics."""
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.ctmc.config import dispatch_counts
 from repro.gsu.fleet import FleetParameters, FleetSolver
 from repro.serve.loadgen import request_once
@@ -57,6 +60,21 @@ class TestFleetEndpoint:
         assert phis[0] == 0.0
         assert phis[-1] == FleetParameters(n_processes=3).theta
         assert len(phis) == 11
+
+    def test_default_grid_is_the_cli_default(self, server, capsys):
+        # With neither phis nor step, POST /fleet and `repro fleet` both
+        # answer 0, theta/10, ..., theta; at theta = 5000 a 1000-hour
+        # step would give the endpoint 6 points.
+        body = {"fleet": {"n_processes": 2, "theta": 5000.0}}
+        status, _, payload = post_fleet(server, body)
+        assert status == 200
+        served = [point["phi"] for point in payload["points"]]
+        argv = [
+            "fleet", "--processes", "2", "--theta", "5000", "--json", "--no-cache",
+        ]
+        assert main(argv) == 0
+        cli = [record["phi"] for record in json.loads(capsys.readouterr().out)]
+        assert served == cli == [i * 500.0 for i in range(11)]
 
     def test_flat_mode_rejected(self, server):
         # Both served measures are symmetric in the processes, so the

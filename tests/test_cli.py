@@ -341,23 +341,13 @@ class TestRuntimeFlagValidation:
         )
         assert args.cache_dir == str(tmp_path)
 
-    def test_memory_cache_zero_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "flag", ["--no-batch", "--no-parametric", "--memory-cache=64"]
+    )
+    def test_second_solve_path_flags_are_gone(self, capsys, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["campaign", "FIG9", "--memory-cache", "0"]
-            )
-        assert "must be >= 1" in capsys.readouterr().err
-
-    def test_memory_cache_flows_into_runtime_config(self, capsys, tmp_path):
-        argv = [
-            "campaign", "FIG9", "--step", "5000", "--no-chart",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--memory-cache", "64",
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "memory tier:" in out
-        assert "disk tier:" in out
+            build_parser().parse_args(["campaign", "FIG9", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServeCli:

@@ -88,11 +88,6 @@ class TestCutoffContinuity:
     def test_paper_params_continuous_at_cutoff(self, paper_params):
         assert all(c.passed for c in check_cutoff_continuity(paper_params))
 
-    def test_parametric_flag_changes_nothing(self, scaled_params):
-        with_templates = check_cutoff_continuity(scaled_params, parametric=True)
-        without = check_cutoff_continuity(scaled_params, parametric=False)
-        assert [c.detail for c in with_templates] == [c.detail for c in without]
-
 
 class TestCheckAll:
     def test_full_sweep_passes_and_counts(self, analytic, scaled_params):
