@@ -57,7 +57,7 @@ from repro.gsu.performability import evaluate_index
 from repro.gsu.validation import SCALED_VALIDATION_PARAMS, validate_constituents
 from repro.runtime.campaign import RuntimeConfig, run_campaign, use_config
 from repro.runtime.executor import BACKENDS
-from repro.runtime.spec import FIGURE_CAMPAIGNS, CampaignSpec, figure_campaign
+from repro.runtime.spec import FIGURE_CAMPAIGNS, figure_campaign
 from repro.san.export import graph_to_dict, model_to_dict, model_to_dot
 from repro.san.reachability import explore
 
@@ -669,8 +669,7 @@ def _cmd_campaign(args) -> int:
         )
     step = None if args.step is None else query.positive(args.step, "step")
     if args.spec is not None:
-        spec = query.load_file(args.spec, CampaignSpec.from_json, "campaign spec")
-        specs = [spec if step is None else spec.with_step(step)]
+        specs = [query.campaign_spec(args.spec, step)]
     else:
         ids = (
             sorted(FIGURE_CAMPAIGNS)

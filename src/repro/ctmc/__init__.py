@@ -46,13 +46,12 @@ from repro.ctmc.accumulated import (
 )
 from repro.ctmc.steady_state import steady_state_distribution, steady_state_reward
 from repro.ctmc.uniformization import fox_glynn_weights, uniformize
-from repro.ctmc.lumping import LumpedCTMC, check_lumpability, lump
+from repro.ctmc.lumping import LumpedCTMC, lump
 from repro.ctmc.sensitivity import finite_difference_sensitivity
 
 __all__ = [
     "CTMC",
     "LumpedCTMC",
-    "check_lumpability",
     "lump",
     "transient_distribution",
     "transient_grid",

@@ -8,7 +8,7 @@ reachability graphs) and the numerical solvers.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -161,10 +161,6 @@ class CTMC:
             raise KeyError("this CTMC has no state labels")
         return self._index[label]
 
-    def indices_of(self, labels: Iterable[Hashable]) -> np.ndarray:
-        """Vector of indices for an iterable of state labels."""
-        return np.array([self.state_index(lab) for lab in labels], dtype=np.intp)
-
     def indicator(self, predicate) -> np.ndarray:
         """Build a 0/1 vector from a predicate over labels (or indices).
 
@@ -191,18 +187,9 @@ class CTMC:
         rates = self.exit_rates()
         return [i for i in range(self.num_states) if rates[i] <= 0.0]
 
-    def transient_states(self) -> list[int]:
-        """Indices of states with positive exit rate."""
-        rates = self.exit_rates()
-        return [i for i in range(self.num_states) if rates[i] > 0.0]
-
     def rate(self, src: int, dst: int) -> float:
         """The transition rate from state ``src`` to state ``dst``."""
         return float(self._q[src, dst])
-
-    def with_initial(self, initial) -> "CTMC":
-        """A copy of this chain with a different initial distribution."""
-        return CTMC(self._q, initial=initial, labels=self._labels)
 
     # ------------------------------------------------------------------
     # Construction helpers

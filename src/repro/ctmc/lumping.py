@@ -91,17 +91,6 @@ def _normalise_partition(
     return tuple(blocks)
 
 
-def check_lumpability(
-    chain: CTMC, partition: Sequence[Sequence[int]]
-) -> bool:
-    """Whether ``partition`` is ordinarily lumpable for ``chain``."""
-    try:
-        lump(chain, partition)
-        return True
-    except CTMCError:
-        return False
-
-
 def lump(chain: CTMC, partition: Sequence[Sequence[int]]) -> LumpedCTMC:
     """Build the exact quotient chain over ``partition``.
 

@@ -105,17 +105,3 @@ def _result(at: float, centre: float, derivative: float) -> SensitivityResult:
         elasticity=elasticity,
     )
 
-
-def sweep_sensitivity(
-    measure: Callable[[float], float],
-    points: list[float],
-    relative_step: float = 1e-4,
-    bounds: tuple[float, float] | None = None,
-) -> list[SensitivityResult]:
-    """Sensitivities of ``measure`` at each point in ``points``."""
-    return [
-        finite_difference_sensitivity(
-            measure, p, relative_step=relative_step, bounds=bounds
-        )
-        for p in points
-    ]

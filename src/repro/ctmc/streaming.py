@@ -136,16 +136,6 @@ class StreamingWorkspace:
         self.acc = np.empty(num_states)
         self.scaled = np.empty(num_states)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the four state vectors."""
-        return (
-            self.vec.nbytes
-            + self.nxt.nbytes
-            + self.acc.nbytes
-            + self.scaled.nbytes
-        )
-
 
 def required_bytes(
     num_states: int, nnz: int, grid_points: int, with_accumulated: bool = False

@@ -12,7 +12,10 @@ Reproduces the paper's analysis end-to-end:
   the performability index ``Y(phi)``.
 * :mod:`~repro.gsu.optimizer` — optimal guarded-operation duration
   search.
-* :mod:`~repro.gsu.analytic` — closed-form cross-checks.
+* :mod:`~repro.gsu.fleet` — ``N`` guarded processes sharing a repair
+  facility, solved on the exact count-vector quotient.
+* :mod:`~repro.gsu.analytic` — closed-form cross-checks (a reference
+  the tests compare ``Y`` against, not a solve path).
 * :mod:`~repro.gsu.validation` — protocol-simulation cross-validation.
 """
 

@@ -25,9 +25,9 @@ answers them:
 
 ``lumped``
     The default and the only representation a user surface reaches:
-    the exact symmetry quotient over occupancy counts, ``C(N + 3, 3)``
-    states, or the grouped quotient (per-rate-group count vectors) for
-    a staged upgrade.
+    the exact symmetry quotient over per-rate-group occupancy counts —
+    one group of ``C(N + 3, 3)`` states for a homogeneous fleet, two
+    for a staged upgrade.
 ``flat``
     The full ``4**N``-state product chain, assembled directly in CSR.
     It is the oracle that verifies the lumping, and the scale workload
@@ -42,9 +42,9 @@ from typing import Sequence
 
 import numpy as np
 
-# accumulated_reward and transient_distribution are unused here, but
-# perfbench/tracing.py wraps them on this module until request-scoped
-# traces replace it (ROADMAP item 3).
+# accumulated_reward, transient_distribution and fleet_lumped_chain are
+# unused here, but perfbench/tracing.py wraps them on this module until
+# request-scoped traces replace it (ROADMAP item 3).
 from repro.ctmc.accumulated import (
     accumulated_reward,  # noqa: F401  (perfbench/tracing.py, ROADMAP item 3)
     transient_accumulated_grid,
@@ -61,10 +61,9 @@ from repro.san.composition import (
     fleet_digits,
 )
 from repro.san.symmetry import (
-    fleet_count_states,
     fleet_group_states,
     fleet_grouped_lumped_chain,
-    fleet_lumped_chain,
+    fleet_lumped_chain,  # noqa: F401  (perfbench/tracing.py, ROADMAP item 3)
     fleet_rate_groups,
 )
 
@@ -271,9 +270,9 @@ class FleetSolver:
     def chain(self) -> CTMC:
         """The (lazily built, cached) fleet CTMC.
 
-        The flat chain takes per-process rates; on the lumped side a
-        staged upgrade builds the grouped partial quotient (per-rate-group
-        count vectors).
+        The flat chain takes per-process rates; the lumped one is the
+        grouped count quotient over the same rates (one group for a
+        homogeneous fleet, two for a staged upgrade).
         """
         if self._chain is None:
             p = self.params
@@ -283,13 +282,9 @@ class FleetSolver:
                     p.rates_sequence(),
                     repair_servers=p.repair_servers,
                 )
-            elif p.staged:
+            else:
                 self._chain = fleet_grouped_lumped_chain(
                     p.rates_sequence(), repair_servers=p.repair_servers
-                )
-            else:
-                self._chain = fleet_lumped_chain(
-                    p.n_processes, p.rates(), repair_servers=p.repair_servers
                 )
         return self._chain
 
@@ -304,20 +299,13 @@ class FleetSolver:
                     (digits != FLEET_FAILED).sum(axis=1).astype(np.float64)
                     / n
                 )
-            elif p.staged:
+            else:
                 groups = fleet_rate_groups(p.rates_sequence())
                 sizes = [len(members) for members, _ in groups]
                 self._rewards = np.array(
                     [
                         (n - sum(vec[3] for vec in state)) / n
                         for state in fleet_group_states(sizes)
-                    ]
-                )
-            else:
-                self._rewards = np.array(
-                    [
-                        (n - fail) / n
-                        for (_ok, _ctn, _det, fail) in fleet_count_states(n)
                     ]
                 )
         return self._rewards

@@ -17,7 +17,7 @@ from dataclasses import fields
 
 from repro.gsu.fleet import FleetParameters
 from repro.gsu.parameters import PAPER_TABLE3, GSUParameters
-from repro.runtime.spec import default_grid
+from repro.runtime.spec import CampaignSpec, default_grid
 from repro.san.errors import SANError
 
 #: The Table 3 fields a query may override.
@@ -116,6 +116,23 @@ def fleet_grid(params, phis=None, step=None, max_points=None) -> list[float]:
     if phis is None and step is None:
         phis = [i * params.theta / 10 for i in range(11)]
     return phi_grid(params, phis, step, max_points)
+
+
+def campaign_spec(path, step=None) -> CampaignSpec:
+    """The campaign spec in the file at ``path``, its implicit grids
+    re-spaced at ``step`` when given.  Every curve must share the first
+    curve's ``phi`` grid, since the campaign prints one table of them."""
+    spec = load_file(path, CampaignSpec.from_json, "campaign spec")
+    if step is not None:
+        spec = spec.with_step(step)
+    first, *rest = spec.curves
+    for curve in rest:
+        if curve.grid() != first.grid():
+            raise QueryError(
+                f"bad campaign spec {path}: curve {curve.label!r} has a "
+                f"different phi grid from curve {first.label!r}"
+            )
+    return spec
 
 
 def synthesis_request(

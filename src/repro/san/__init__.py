@@ -33,13 +33,6 @@ from repro.san.spec import (
     parse_update,
     reward_structure_from_spec,
 )
-from repro.san.analyzers import (
-    StructuralReport,
-    analyze_structure,
-    is_irreducible,
-    reachability_digraph,
-    verify_invariant,
-)
 from repro.san.composition import join, replicate
 from repro.san.ctmc_builder import CompiledSAN, build_ctmc
 from repro.san.errors import (
@@ -64,9 +57,7 @@ from repro.san.rewards import (
     instant_and_interval_many,
     instant_of_time,
     instant_of_time_many,
-    instant_rewards_many,
     interval_of_time,
-    interval_of_time_many,
     steady_state,
     time_averaged,
 )
@@ -94,10 +85,8 @@ __all__ = [
     "SANSimulator",
     "SimulationEstimate",
     "StateSpaceError",
-    "StructuralReport",
     "TimedActivity",
     "activity_throughput",
-    "analyze_structure",
     "build_ctmc",
     "explore",
     "graph_to_dict",
@@ -106,15 +95,11 @@ __all__ = [
     "instant_and_interval_many",
     "instant_of_time",
     "instant_of_time_many",
-    "instant_rewards_many",
     "interval_of_time",
-    "interval_of_time_many",
-    "is_irreducible",
     "join",
     "model_to_dict",
     "model_to_dot",
     "predicate_gate",
-    "reachability_digraph",
     "replicate",
     "ReplicaReduction",
     "reduce_replicas",
@@ -128,5 +113,4 @@ __all__ = [
     "SpecSyntaxError",
     "steady_state",
     "time_averaged",
-    "verify_invariant",
 ]

@@ -14,8 +14,7 @@ factors that observation into code:
    deduplicated coefficient table ``c_i(p)`` and per-edge coefficient
    indices.  Together these are the affine factorization
    ``Q(p) = sum_i c_i(p) * B_i`` where ``B_i`` is the 0/1 incidence
-   pattern of coefficient ``i`` (materialize it with
-   :meth:`ParametricSAN.generator_basis`).
+   pattern of coefficient ``i``.
 3. :meth:`ParametricSAN.instantiate` turns a new parameter environment
    into a :class:`~repro.san.ctmc_builder.CompiledSAN` by re-evaluating
    the coefficient table (a handful of scalar expressions), gathering
@@ -446,14 +445,6 @@ class ParametricSAN:
                 )
         return None
 
-    def matches(self, env: dict) -> bool:
-        """Whether ``env`` belongs to this template's structure class."""
-        try:
-            values = self._evaluate_coefficients(env)
-        except ParametricError:
-            return False
-        return self._check(values) is None
-
     def instantiate(
         self,
         env: dict,
@@ -543,38 +534,6 @@ class ParametricSAN:
             reward_cache=self.reward_cache,
             model_factory=model_factory,
         )
-
-    def generator_basis(self) -> list:
-        """Materialize the basis matrices ``B_i`` (vanishing-free models).
-
-        For a model without vanishing markings the generator is exactly
-        ``Q(p) = sum_i c_i(p) * B_i`` with ``B_i[s, d]`` counting the
-        edges carrying coefficient ``i`` (diagonal compensated so rows
-        sum to zero).  Models with vanishing markings resolve those
-        markings per instantiation instead, so the affine form holds in
-        the pre-elimination edge space only; this introspection helper
-        refuses them rather than answer a subtly different question.
-        """
-        import scipy.sparse as sp
-
-        if self.vanishing_markings:
-            raise ParametricError(
-                f"model {self.model_name!r} has vanishing markings; its "
-                "generator basis is defined on the pre-elimination edges"
-            )
-        n = self.num_states
-        basis = []
-        for index in range(len(self.coefficients)):
-            rows, cols, vals = [], [], []
-            for src, _dst_vanishing, dst, edge_index in self.t_edges:
-                if edge_index == index and src != dst:
-                    rows.extend((src, src))
-                    cols.extend((dst, src))
-                    vals.extend((1.0, -1.0))
-            basis.append(
-                sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-            )
-        return basis
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,11 @@ Reward *variables* pair a structure with a solution type:
 * expected time-averaged interval reward (:func:`time_averaged`),
 * expected instant-of-time reward at steady state (:func:`steady_state`).
 
+The grid forms solve a whole time grid at once:
+:func:`instant_of_time_many`, and :func:`instant_and_interval_many`
+(several instant structures plus one accumulated curve from one fused
+solve, the GSU batch path).
+
 Impulse rewards are supported by the steady-state solution (value times
 activity throughput), by the interval-of-time solution (value times
 expected completion count, via :func:`expected_completions`), and by the
@@ -28,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.ctmc.accumulated import (
-    accumulated_grid,
+    accumulated_grid,  # noqa: F401  (perfbench/tracing.py, ROADMAP item 3)
     accumulated_reward,
     transient_accumulated_grid,
 )
@@ -171,28 +176,6 @@ def instant_of_time_many(
     return _rowwise_dot(pi, rates)
 
 
-def instant_rewards_many(
-    compiled: CompiledSAN,
-    structures: Sequence[RewardStructure],
-    times,
-    method: str = DEFAULT_METHOD,
-) -> dict[str, np.ndarray]:
-    """Instant-of-time rewards for several structures over one grid.
-
-    The transient distributions are solved *once* and dotted with each
-    structure's rate vector — this is what lets the GSU batch path pay a
-    single RMGd solve for the three Table 1 instant measures instead of
-    three.  Returns ``{structure.name: per-time array}``.
-    """
-    for structure in structures:
-        _reject_impulse(structure, "instant-of-time")
-    pi = transient_grid(compiled.chain, times, method=method)
-    return {
-        structure.name: _rowwise_dot(pi, structure.rate_vector(compiled))
-        for structure in structures
-    }
-
-
 def interval_of_time(
     compiled: CompiledSAN,
     structure: RewardStructure,
@@ -216,34 +199,6 @@ def interval_of_time(
     return total
 
 
-def interval_of_time_many(
-    compiled: CompiledSAN,
-    structure: RewardStructure,
-    times,
-    method: str = DEFAULT_METHOD,
-) -> np.ndarray:
-    """Expected accumulated rewards over ``[0, t]`` for a grid of ``t``.
-
-    One :func:`~repro.ctmc.accumulated.accumulated_grid` solve per rate
-    part (plus one per impulse activity) serves the whole grid.  Returns
-    an array aligned with ``times``.
-    """
-    grid = np.asarray(list(times), dtype=np.float64)
-    total = np.zeros(grid.size)
-    if structure.rate_rewards:
-        total = total + accumulated_grid(
-            compiled.chain, structure.rate_vector(compiled), grid, method=method
-        )
-    for impulse in structure.impulse_rewards:
-        total = total + impulse.value * accumulated_grid(
-            compiled.chain,
-            completion_rate_vector(compiled, impulse.activity),
-            grid,
-            method=method,
-        )
-    return total
-
-
 def instant_and_interval_many(
     compiled: CompiledSAN,
     instant_structures: Sequence[RewardStructure],
@@ -259,7 +214,7 @@ def instant_and_interval_many(
     pass, so a model whose sweep needs both — like ``RMGd`` with its
     three Table 1 instant measures and one accumulated measure — pays
     for a single grid solve.  Impulse rewards are not supported here;
-    use :func:`interval_of_time_many` for impulse-bearing structures.
+    use :func:`interval_of_time` for impulse-bearing structures.
     Returns ``({structure.name: per-time array}, accumulated array)``.
     """
     for structure in instant_structures:

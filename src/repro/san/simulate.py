@@ -4,7 +4,11 @@ The simulator executes SAN semantics directly — exponential races between
 enabled timed activities, immediate weighted resolution of instantaneous
 activities — without building the state space.  It exists to
 cross-validate the numerical reward solutions (and would be the only
-solution path for models too large to enumerate).
+solution path for models too large to enumerate).  No CLI verb or
+endpoint calls it, yet it stays as a reference: it is the only check of
+SAN semantics that bypasses reachability, so a bug in state-space
+generation or vanishing elimination cannot hide from it the way it
+would from any solver fed the same generator.
 
 Replication-based estimators are provided for the three reward-variable
 types used in the paper: instant-of-time, accumulated interval-of-time,

@@ -121,13 +121,16 @@ def reduce_replicas(compiled: CompiledSAN, count: int) -> ReplicaReduction:
 # ----------------------------------------------------------------------
 # MDCD fleet symmetry
 # ----------------------------------------------------------------------
-# The fleet chains of :mod:`repro.san.composition` are fully replica-
-# symmetric: the future depends only on *how many* processes occupy each
-# local state, never on which ones.  The equivalence classes are the
-# count vectors ``(n_ok, n_ctn, n_det, n_fail)`` summing to ``n`` —
-# ``C(n + 3, 3)`` of them against ``4**n`` flat states, an exponential
-# reduction that keeps a 1e6-state fleet's reference solution at a few
-# hundred states.
+# The fleet chains of :mod:`repro.san.composition` are symmetric within
+# each rate group: processes with identical rates are exchangeable, so
+# the future depends only on *how many* of a group's processes occupy
+# each local state.  The exact quotient has one count vector
+# ``(ok, ctn, det, fail)`` per group, ``prod_i C(n_i + 3, 3)`` states
+# against ``4**n`` flat ones.  A homogeneous fleet is the one-group case,
+# ``C(n + 3, 3)`` states; a 10-process fleet split 5/5 (a staged upgrade)
+# has ``56**2 = 3136`` against ``4**10 = 1048576``.  Processes of
+# different groups are not exchangeable, so a grouping coarser than the
+# rates is not lumpable and :func:`reduce_fleet_grouped` refuses it.
 
 
 def fleet_count_states(n: int) -> list[tuple[int, int, int, int]]:
@@ -142,126 +145,6 @@ def fleet_count_states(n: int) -> list[tuple[int, int, int, int]]:
             for fail in range(n + 1 - ctn - det):
                 states.append((n - ctn - det - fail, ctn, det, fail))
     return states
-
-
-def fleet_block_map(n: int) -> np.ndarray:
-    """Per-flat-state block index of the count-vector partition.
-
-    Vectorised: each flat state's digits collapse to occupation counts,
-    which key into the :func:`fleet_count_states` enumeration through a
-    dense ``(n+1)^3`` lookup table.  Returns an ``int64`` array of
-    length ``4**n``.
-    """
-    states = fleet_count_states(n)
-    side = n + 1
-    table = np.full(side * side * side, -1, dtype=np.int64)
-    for b, (_ok, ctn, det, fail) in enumerate(states):
-        table[(ctn * side + det) * side + fail] = b
-    digits = fleet_digits(n)
-    ctn = (digits == FLEET_CONTAMINATED).sum(axis=1).astype(np.int64)
-    det = (digits == FLEET_DETECTED).sum(axis=1).astype(np.int64)
-    fail = (digits == FLEET_FAILED).sum(axis=1).astype(np.int64)
-    return table[(ctn * side + det) * side + fail]
-
-
-def fleet_lumped_chain(
-    n: int,
-    rates: FleetRates,
-    repair_servers: int = 1,
-) -> CTMC:
-    """The count-space fleet CTMC, built directly — the exact lumped
-    quotient of :func:`repro.san.composition.fleet_chain`.
-
-    State ``b`` is ``fleet_count_states(n)[b]``; transition rates are
-    the aggregate class rates (``n_ok * contaminate``,
-    ``n_ctn * detect``, ``n_ctn * fail``,
-    ``repair * min(n_det, servers)``).  This is the scalable reference:
-    a fleet too large to ever materialise flat is still solvable here,
-    and benchmark accuracy for the flat solvers is measured against it.
-    """
-    if repair_servers < 1:
-        raise SANError(
-            f"repair_servers must be >= 1, got {repair_servers}"
-        )
-    states = fleet_count_states(n)
-    index = {s: b for b, s in enumerate(states)}
-    chain_rates: dict[tuple[int, int], float] = {}
-    for b, (ok, ctn, det, fail) in enumerate(states):
-        if ok > 0 and rates.contaminate > 0:
-            dst = index[(ok - 1, ctn + 1, det, fail)]
-            chain_rates[(b, dst)] = ok * rates.contaminate
-        if ctn > 0 and rates.detect > 0:
-            dst = index[(ok, ctn - 1, det + 1, fail)]
-            chain_rates[(b, dst)] = ctn * rates.detect
-        if ctn > 0 and rates.fail > 0:
-            dst = index[(ok, ctn - 1, det, fail + 1)]
-            chain_rates[(b, dst)] = ctn * rates.fail
-        if det > 0 and rates.repair > 0:
-            dst = index[(ok + 1, ctn, det - 1, fail)]
-            chain_rates[(b, dst)] = rates.repair * min(det, repair_servers)
-    initial = np.zeros(len(states))
-    initial[index[(n, 0, 0, 0)]] = 1.0
-    return CTMC.from_rates(
-        len(states), chain_rates, initial=initial, labels=states
-    )
-
-
-@dataclass(frozen=True)
-class FleetReduction:
-    """Outcome of a fleet symmetry reduction.
-
-    Attributes
-    ----------
-    flat:
-        The original flat product-space chain.
-    lumped:
-        The verified exact quotient with its block mapping.
-    """
-
-    flat: CTMC
-    lumped: LumpedCTMC
-
-    @property
-    def original_states(self) -> int:
-        """Flat state count (``4**n``)."""
-        return self.flat.num_states
-
-    @property
-    def reduced_states(self) -> int:
-        """Count-vector state count (``C(n + 3, 3)``)."""
-        return len(self.lumped.blocks)
-
-
-def reduce_fleet(flat: CTMC, n: int) -> FleetReduction:
-    """Lump a flat fleet chain onto count vectors, verifying lumpability.
-
-    Like :func:`reduce_replicas` this *checks* the partition rather than
-    trusting it, so a chain that is not actually a symmetric fleet (or a
-    pattern-stamping bug) fails loudly.  Uses the vectorised
-    block-map lumping path, so it scales to 1e5+-state fleets.
-    """
-    if flat.num_states != 4**n:
-        raise SANError(
-            f"chain has {flat.num_states} states; an {n}-process fleet "
-            f"has {4**n}"
-        )
-    lumped = lump_from_block_map(flat, fleet_block_map(n))
-    return FleetReduction(flat=flat, lumped=lumped)
-
-
-# ----------------------------------------------------------------------
-# Partial symmetry: heterogeneous fleets
-# ----------------------------------------------------------------------
-# A multi-upgrade fleet (staged rollout, mixed hardware) is only
-# *partially* symmetric: processes are exchangeable within a rate group
-# but not across groups, so the full count-vector quotient above is not
-# lumpable — and :func:`reduce_fleet` correctly refuses it.  The exact
-# quotient that *does* exist is per-group count vectors: the state is a
-# tuple of ``(ok, ctn, det, fail)`` counts, one per group, giving
-# ``prod_i C(n_i + 3, 3)`` states.  For a 10-process fleet split 5/5
-# that is ``56**2 = 3136`` against ``4**10 = 1048576`` — still an
-# exponential reduction, but the flat sparse path stays the only route
-# to the unquotiented dynamics.
 
 
 def fleet_rate_groups(
@@ -310,10 +193,11 @@ def fleet_group_block_map(
 
     ``groups`` is the :func:`fleet_rate_groups` output (member process
     indices per group); the fleet size is the total member count, and
-    members must cover ``0..n-1`` exactly once.  Vectorised like
-    :func:`fleet_block_map`: per-group digit columns collapse to counts,
-    key into per-group lookup tables, and combine in mixed radix with
-    group 0 outermost — matching :func:`fleet_group_states` order.
+    members must cover ``0..n-1`` exactly once.  Vectorised: per-group
+    digit columns collapse to counts, key into per-group ``(size+1)^3``
+    lookup tables, and combine in mixed radix with group 0 outermost —
+    matching :func:`fleet_group_states` order.  Returns an ``int64``
+    array of length ``4**n``.
     """
     members_flat = sorted(j for members, _ in groups for j in members)
     n = len(members_flat)
@@ -345,14 +229,21 @@ def fleet_grouped_lumped_chain(
     rates: list[FleetRates] | tuple[FleetRates, ...],
     repair_servers: int = 1,
 ) -> CTMC:
-    """The grouped count-space CTMC of a heterogeneous fleet — the
-    exact partial quotient of the flat heterogeneous chain.
+    """The grouped count-space CTMC of a fleet — the exact quotient of
+    :func:`repro.san.composition.fleet_chain` over per-rate-group count
+    vectors, built directly.
 
-    Per-group dynamics use that group's rates; the only cross-group
-    coupling is the shared repair pool: a detected process of group
-    ``i`` repairs at ``repair_i * min(D, servers) / D`` where ``D`` is
-    the *total* detected count — identical for every member, which is
-    exactly why the partition stays lumpable within groups.
+    State ``b`` is ``fleet_group_states(sizes)[b]``.  This is the
+    scalable reference: a fleet too large to ever materialise flat is
+    still solvable here.  Per-group dynamics use that group's rates
+    (``ok * contaminate``, ``ctn * detect``, ``ctn * fail``); the only
+    cross-group coupling is the shared repair pool: a detected process
+    of group ``i`` repairs at ``repair_i * min(D, servers) / D`` where
+    ``D`` is the *total* detected count — identical for every member,
+    which is exactly why the partition stays lumpable within groups.
+    With one group the rate ``D * (min(D, servers) / D) * repair``
+    equals ``repair * min(D, servers)`` bitwise up to ``D = 21``; from
+    ``D = 22`` the quotient can round differently in the last bit.
     """
     if repair_servers < 1:
         raise SANError(
@@ -394,17 +285,55 @@ def fleet_grouped_lumped_chain(
     )
 
 
+def fleet_lumped_chain(
+    n: int,
+    rates: FleetRates,
+    repair_servers: int = 1,
+) -> CTMC:
+    """The count-space CTMC of a homogeneous ``n``-process fleet: the
+    one-group case of :func:`fleet_grouped_lumped_chain`."""
+    return fleet_grouped_lumped_chain((rates,) * n, repair_servers)
+
+
+@dataclass(frozen=True)
+class FleetReduction:
+    """Outcome of a fleet symmetry reduction.
+
+    Attributes
+    ----------
+    flat:
+        The original flat product-space chain.
+    lumped:
+        The verified exact quotient with its block mapping.
+    """
+
+    flat: CTMC
+    lumped: LumpedCTMC
+
+    @property
+    def original_states(self) -> int:
+        """Flat state count (``4**n``)."""
+        return self.flat.num_states
+
+    @property
+    def reduced_states(self) -> int:
+        """Grouped count-vector state count (``prod_i C(n_i + 3, 3)``)."""
+        return len(self.lumped.blocks)
+
+
 def reduce_fleet_grouped(
     flat: CTMC,
     rates: list[FleetRates] | tuple[FleetRates, ...],
 ) -> FleetReduction:
-    """Lump a heterogeneous flat fleet chain onto grouped count vectors.
+    """Lump a flat fleet chain onto grouped count vectors.
 
     The partition derives from the declared per-process rates
-    (:func:`fleet_rate_groups`); lumpability is *verified*, so passing
-    rates that do not match the chain — or a genuinely asymmetric chain
-    with a too-coarse grouping — fails loudly instead of silently
-    producing wrong numbers.
+    (:func:`fleet_rate_groups`; a homogeneous fleet is one group).  Like
+    :func:`reduce_replicas` this *verifies* lumpability rather than
+    trusting it, so passing rates that do not match the chain — say,
+    homogeneous rates for a heterogeneous chain — fails loudly instead
+    of silently producing wrong numbers.  Uses the vectorised block-map
+    lumping path, so it scales to 1e5+-state fleets.
     """
     n = len(rates)
     if flat.num_states != 4**n:

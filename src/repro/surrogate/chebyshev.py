@@ -29,7 +29,6 @@ __all__ = [
     "basis",
     "basis_many",
     "stacked_eval",
-    "stacked_eval_many",
     "derivative_tensor",
     "to_unit",
     "from_unit",
@@ -172,34 +171,6 @@ def stacked_eval(stacked: np.ndarray, coords: tuple[float, ...]) -> np.ndarray:
     for x in reversed(coords):
         result = result @ basis(x, result.shape[-1] - 1)
     return result
-
-
-def stacked_eval_many(
-    stacked: np.ndarray, coords: np.ndarray
-) -> np.ndarray:
-    """Evaluate at many unit-cube points: ``coords`` is ``(p, d)``.
-
-    Returns shape ``(p, m)``.  Axes after the first are contracted with
-    per-point basis matrices via einsum-free batched matmuls; the first
-    axis finishes with a row-wise dot so the whole batch stays in BLAS.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2:
-        raise ValueError(f"coords must be (points, dims), got {coords.shape}")
-    npts, dims = coords.shape
-    if dims != stacked.ndim - 1:
-        raise ValueError(
-            f"coords has {dims} dims for a {stacked.ndim - 1}-D tensor"
-        )
-    # Contract trailing axes down to (m, n_1 + 1) per point, then finish
-    # with the first-axis basis.  result starts broadcast over points.
-    result = np.broadcast_to(stacked, (npts,) + stacked.shape)
-    for axis in range(dims - 1, 0, -1):
-        b = basis_many(coords[:, axis], stacked.shape[axis + 1] - 1)
-        # result: (p, m, ..., n_axis+1); contract last axis per point.
-        result = np.einsum("p...k,pk->p...", result, b, optimize=True)
-    b0 = basis_many(coords[:, 0], stacked.shape[1] - 1)
-    return np.einsum("pmk,pk->pm", result, b0, optimize=True)
 
 
 def derivative_tensor(stacked: np.ndarray, axis: int) -> np.ndarray:

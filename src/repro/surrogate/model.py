@@ -324,15 +324,6 @@ class SurrogateModel:
             params, float(phi), self.constituents(params, phi)
         )
 
-    def evaluate_grid(
-        self, params: GSUParameters, phis: Sequence[float]
-    ) -> list[PerformabilityEvaluation]:
-        """Batched :meth:`evaluate` over a phi grid."""
-        return [
-            _evaluation_from_constituents(params, float(phi), values)
-            for phi, values in zip(phis, self.constituents_grid(params, phis))
-        ]
-
     def grid_records(
         self, params: GSUParameters, phis: Sequence[float]
     ) -> tuple[list[dict], list[float]]:
@@ -471,10 +462,6 @@ class SurrogateModel:
         """The largest certified scaled bound across the nine measures."""
         return self._worst_bound
 
-    def bound_for(self, measure: str) -> float:
-        """Certified scaled bound of one measure."""
-        return self.bounds[measure]
-
     def abs_bound(self, measure: str) -> float:
         """Certified *absolute* bound of one measure (scaled x scale)."""
         return float(self.bounds[measure] * self.scales[measure])
@@ -487,15 +474,3 @@ class SurrogateModel:
         """
         return max_error is None or self.worst_bound <= max_error
 
-
-def record_from_surrogate(
-    model: SurrogateModel, params: GSUParameters, phi: float
-) -> dict:
-    """A standard evaluation record computed from the surrogate.
-
-    Identical schema to the exact path's records (so serve responses
-    and caches interoperate); callers add provenance separately.
-    """
-    from repro.runtime.records import record_from_evaluation
-
-    return record_from_evaluation(model.evaluate(params, phi))

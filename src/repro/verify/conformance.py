@@ -333,11 +333,6 @@ def measure_verdict(
     )
 
 
-def effective_half_width(verdict: MeasureVerdict) -> float:
-    """The uncertainty attributed to a measure in composed checks."""
-    return verdict.interval.half_width
-
-
 def constituent_verdicts(
     merged: Mapping[tuple[str, str, float | None], MomentSummary],
     analytic_by_phi: Mapping[float, Mapping[str, float]],

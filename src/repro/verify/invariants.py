@@ -33,7 +33,7 @@ aggregation even where a statistical test would be blind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.gsu.parameters import GSUParameters
 from repro.gsu.performability import aggregate_breakdown, evaluate_batch
@@ -241,17 +241,3 @@ def check_all(
     checks.extend(check_cutoff_continuity(params))
     return checks
 
-
-def worth_dominance_over(
-    phis: Sequence[float],
-    analytic_by_phi: Mapping[float, Mapping[str, float]],
-    params: GSUParameters,
-) -> bool:
-    """Convenience: ``E[W_phi] <= E[W_I]`` across a whole grid."""
-    for phi in phis:
-        breakdown = aggregate_breakdown(
-            dict(analytic_by_phi[phi]), {"phi": phi, "theta": params.theta}
-        )
-        if breakdown["E_Wphi"] > breakdown["E_WI"] + 1e-9 * breakdown["E_WI"]:
-            return False
-    return True

@@ -26,7 +26,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.gsu.measures import ConstituentSolver
 from repro.runtime.artifacts import MANIFEST_VERSION, _unique_run_dir, code_version
@@ -408,9 +408,3 @@ def summarize_report(report: ConformanceReport) -> str:
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines)
 
-
-def merged_summaries(
-    outcomes: Sequence[TaskOutcome],
-) -> Mapping[tuple[str, str, float | None], object]:
-    """Convenience: pooled moment summaries from executed outcomes."""
-    return merge_block_records([outcome.record for outcome in outcomes])

@@ -83,7 +83,6 @@ class TestFromRates:
 class TestStructure:
     def test_absorbing_states(self, two_state_chain):
         assert two_state_chain.absorbing_states() == [1]
-        assert two_state_chain.transient_states() == [0]
 
     def test_exit_rates(self, birth_death_chain):
         rates = birth_death_chain.exit_rates()
@@ -96,12 +95,6 @@ class TestStructure:
         assert len(birth_death_chain) == 4
         assert "states=4" in repr(birth_death_chain)
 
-    def test_with_initial_copies_labels(self):
-        chain = CTMC([[-1.0, 1.0], [2.0, -2.0]], labels=["up", "down"])
-        shifted = chain.with_initial([0.0, 1.0])
-        assert shifted.state_index("down") == 1
-        np.testing.assert_allclose(shifted.initial_distribution, [0.0, 1.0])
-
 
 class TestLabels:
     def test_state_index_lookup(self):
@@ -112,10 +105,6 @@ class TestLabels:
     def test_state_index_without_labels_raises(self, birth_death_chain):
         with pytest.raises(KeyError):
             birth_death_chain.state_index("anything")
-
-    def test_indices_of(self):
-        chain = CTMC.two_state_failure(1.0)
-        np.testing.assert_array_equal(chain.indices_of(["down", "up"]), [1, 0])
 
     def test_indicator_with_labels(self):
         chain = CTMC.two_state_failure(1.0)

@@ -4,10 +4,7 @@ import math
 
 import pytest
 
-from repro.ctmc.sensitivity import (
-    finite_difference_sensitivity,
-    sweep_sensitivity,
-)
+from repro.ctmc.sensitivity import finite_difference_sensitivity
 
 
 class TestFiniteDifference:
@@ -49,18 +46,6 @@ class TestFiniteDifference:
     def test_elasticity_nan_when_measure_zero(self):
         result = finite_difference_sensitivity(lambda x: x - 2.0, at=2.0)
         assert math.isnan(result.elasticity)
-
-
-class TestSweep:
-    def test_sweep_returns_one_result_per_point(self):
-        results = sweep_sensitivity(lambda x: x**2, [1.0, 2.0, 3.0])
-        assert len(results) == 3
-        assert [r.parameter_value for r in results] == [1.0, 2.0, 3.0]
-
-    def test_sweep_derivatives(self):
-        results = sweep_sensitivity(lambda x: x**2, [1.0, 4.0])
-        assert results[0].derivative == pytest.approx(2.0, rel=1e-5)
-        assert results[1].derivative == pytest.approx(8.0, rel=1e-5)
 
 
 class TestBoundedDifferences:
@@ -137,15 +122,3 @@ class TestBoundedDifferences:
             finite_difference_sensitivity(
                 lambda x: x, at=1.0, bounds=(1.0, 1.0)
             )
-
-    def test_sweep_passes_bounds_through(self):
-        seen = []
-
-        def measure(x):
-            seen.append(x)
-            return x
-
-        sweep_sensitivity(
-            measure, [0.0, 0.5, 1.0], relative_step=0.1, bounds=(0.0, 1.0)
-        )
-        assert all(0.0 <= x <= 1.0 for x in seen)

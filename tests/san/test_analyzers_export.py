@@ -1,15 +1,16 @@
-"""Tests for structural analyzers and exporters."""
+"""Structural facts of reachability graphs, and the exporters.
 
+The structural checks read the explored graph directly: its markings,
+its ``(src, dst) -> rate`` edges, and its generator's strongly connected
+components.
+"""
+
+import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from repro.san.activities import Case, TimedActivity
-from repro.san.analyzers import (
-    analyze_structure,
-    is_irreducible,
-    reachability_digraph,
-    strongly_connected_components,
-    verify_invariant,
-)
+from repro.san.ctmc_builder import build_ctmc
 from repro.san.export import (
     graph_to_dict,
     graph_to_dot,
@@ -21,16 +22,44 @@ from repro.san.places import Place
 from repro.san.reachability import explore
 
 
+def _place_bounds(graph, places):
+    return {
+        place: (
+            min(m[place] for m in graph.markings),
+            max(m[place] for m in graph.markings),
+        )
+        for place in places
+    }
+
+
+def _never_enabled(model, graph):
+    return [
+        activity.name
+        for activity in model.activities()
+        if not any(activity.enabled(m) for m in graph.markings)
+    ]
+
+
+def _token_sums(graph, weights):
+    return {
+        sum(w * m[p] for p, w in weights.items()) for m in graph.markings
+    }
+
+
+def _strong_components(model):
+    count, labels = connected_components(
+        build_ctmc(model).chain.generator, directed=True, connection="strong"
+    )
+    return count, np.bincount(labels)
+
+
 class TestStructuralAnalysis:
     def test_place_bounds(self, simple_san):
         graph = explore(simple_san)
-        report = analyze_structure(simple_san, graph)
-        assert report.place_bounds == {"a": (0, 1), "b": (0, 1)}
+        assert _place_bounds(graph, ["a", "b"]) == {"a": (0, 1), "b": (0, 1)}
 
     def test_no_dead_activities_in_cycle(self, simple_san):
-        graph = explore(simple_san)
-        report = analyze_structure(simple_san, graph)
-        assert report.dead_activities == ()
+        assert _never_enabled(simple_san, explore(simple_san)) == []
 
     def test_dead_activity_detected(self):
         places = [Place("a", initial=1), Place("never")]
@@ -38,57 +67,47 @@ class TestStructuralAnalysis:
                              cases=[Case(output_arcs=(("a", 1),))])
         dead = TimedActivity("dead", rate=1.0, input_arcs=[("never", 2)])
         model = SANModel("m", places, [live, dead])
-        report = analyze_structure(model, explore(model))
-        assert report.dead_activities == ("dead",)
+        assert _never_enabled(model, explore(model)) == ["dead"]
 
     def test_absorbing_markings(self, absorbing_san):
         graph = explore(absorbing_san)
-        report = analyze_structure(absorbing_san, graph)
-        assert len(report.absorbing_markings) == 1
-        assert report.absorbing_markings[0]["failed"] == 1
+        absorbing = [
+            m for i, m in enumerate(graph.markings)
+            if graph.total_exit_rate(i) == 0.0
+        ]
+        assert len(absorbing) == 1
+        assert absorbing[0]["failed"] == 1
 
     def test_counts(self, simple_san):
         graph = explore(simple_san)
-        report = analyze_structure(simple_san, graph)
-        assert report.num_tangible == 2
-        assert report.num_vanishing == 0
+        assert graph.num_states == 2
+        assert graph.num_vanishing == 0
 
 
 class TestInvariants:
     def test_token_conservation_holds(self, simple_san):
-        graph = explore(simple_san)
-        assert verify_invariant(graph, {"a": 1, "b": 1}, expected=1)
-
-    def test_wrong_expected_value(self, simple_san):
-        graph = explore(simple_san)
-        assert not verify_invariant(graph, {"a": 1, "b": 1}, expected=2)
+        assert _token_sums(explore(simple_san), {"a": 1, "b": 1}) == {1}
 
     def test_non_invariant_detected(self, absorbing_san):
-        graph = explore(absorbing_san)
         # working - failed is not constant (1 then -1).
-        assert not verify_invariant(graph, {"working": 1, "failed": -1})
-
-    def test_invariant_without_expected(self, simple_san):
-        graph = explore(simple_san)
-        assert verify_invariant(graph, {"a": 2, "b": 2})
+        sums = _token_sums(explore(absorbing_san), {"working": 1, "failed": -1})
+        assert sums == {1, -1}
 
 
 class TestGraphAnalysis:
     def test_digraph_structure(self, simple_san):
         graph = explore(simple_san)
-        g = reachability_digraph(graph)
-        assert g.number_of_nodes() == 2
-        assert g.number_of_edges() == 2
-        rates = [d["rate"] for _u, _v, d in g.edges(data=True)]
-        assert sorted(rates) == [1.0, 2.0]
+        assert graph.num_states == 2
+        assert len(graph.rates) == 2
+        assert sorted(graph.rates.values()) == [1.0, 2.0]
 
     def test_irreducibility(self, simple_san, absorbing_san):
-        assert is_irreducible(explore(simple_san))
-        assert not is_irreducible(explore(absorbing_san))
+        assert _strong_components(simple_san)[0] == 1
+        assert _strong_components(absorbing_san)[0] > 1
 
     def test_scc_sizes(self, absorbing_san):
-        comps = strongly_connected_components(explore(absorbing_san))
-        assert sorted(len(c) for c in comps) == [1, 1]
+        _count, sizes = _strong_components(absorbing_san)
+        assert sorted(sizes) == [1, 1]
 
 
 class TestExport:

@@ -3,8 +3,8 @@
 Covers the multi-upgrade scenario surface end to end: the blocked CSR
 assembly (invariant under the block size), per-process rates, the
 grouped partial quotient — verified against the flat chain — and the
-guarantee that asymmetric rates *refuse* the full count-vector lumping
-instead of silently producing wrong numbers.
+guarantee that asymmetric rates *refuse* the one-group count-vector
+lumping instead of silently producing wrong numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.san.symmetry import (
     fleet_grouped_lumped_chain,
     fleet_lumped_chain,
     fleet_rate_groups,
-    reduce_fleet,
     reduce_fleet_grouped,
 )
 
@@ -109,12 +108,34 @@ class TestGroupedQuotient:
         assert states[0] == ((2, 0, 0, 0), (1, 0, 0, 0))
 
     def test_single_group_degenerates_to_full_quotient(self):
-        grouped = fleet_grouped_lumped_chain([NEW] * 4, repair_servers=2)
-        full = fleet_lumped_chain(4, NEW, repair_servers=2)
-        assert grouped.num_states == full.num_states
-        a = transient_grid(grouped, TIMES, method="uniformization")
-        b = transient_grid(full, TIMES, method="uniformization")
-        assert np.max(np.abs(a - b)) == 0.0
+        """One rate group is the plain count-vector chain: its states
+        are the count vectors and its rates the aggregate class rates
+        ``ok * contaminate``, ``ctn * detect``, ``ctn * fail`` and
+        ``repair * min(det, servers)``, bitwise."""
+        n = 5
+        states = fleet_count_states(n)
+        index = {s: b for b, s in enumerate(states)}
+        for servers in (1, 2, 3):
+            chain = fleet_grouped_lumped_chain(
+                [NEW] * n, repair_servers=servers
+            )
+            assert chain.labels == [(s,) for s in states]
+            expected = np.zeros((len(states), len(states)))
+            for b, (ok, ctn, det, fail) in enumerate(states):
+                for dst, rate in (
+                    ((ok - 1, ctn + 1, det, fail), ok * NEW.contaminate),
+                    ((ok, ctn - 1, det + 1, fail), ctn * NEW.detect),
+                    ((ok, ctn - 1, det, fail + 1), ctn * NEW.fail),
+                    ((ok + 1, ctn, det - 1, fail),
+                     NEW.repair * min(det, servers)),
+                ):
+                    if rate > 0:
+                        expected[b, index[dst]] = rate
+            q = chain.generator.toarray()
+            assert np.array_equal(q - np.diag(np.diag(q)), expected)
+            assert _csr_equal(
+                fleet_lumped_chain(n, NEW, servers).generator, chain.generator
+            )
 
     def test_block_map_requires_full_cover(self):
         groups = [((0, 2), NEW)]  # missing process 1
@@ -143,7 +164,7 @@ class TestGroupedQuotient:
         must say so rather than return a wrong quotient."""
         flat = fleet_chain(3, [NEW, NEW, OLD])
         with pytest.raises(CTMCError, match="not lumpable"):
-            reduce_fleet(flat, 3)
+            reduce_fleet_grouped(flat, [NEW] * 3)
 
     def test_wrong_grouping_refused(self):
         # Rates claim processes 0/1 are exchangeable; the chain says no.

@@ -19,10 +19,10 @@ from repro.san.composition import (
 from repro.san.ctmc_builder import build_ctmc
 from repro.san.errors import SANError
 from repro.san.symmetry import (
-    fleet_block_map,
     fleet_count_states,
+    fleet_group_block_map,
     fleet_lumped_chain,
-    reduce_fleet,
+    reduce_fleet_grouped,
     reduce_replicas,
 )
 from tests.san.test_composition import _worker
@@ -54,11 +54,16 @@ class TestFleetCountStates:
             fleet_count_states(0)
 
 
+def _one_group_block_map(n: int) -> np.ndarray:
+    """The grouped block map of a homogeneous fleet (one rate group)."""
+    return fleet_group_block_map([(tuple(range(n)), _rates())])
+
+
 class TestFleetBlockMap:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_blocks_match_digit_counts(self, n):
         states = fleet_count_states(n)
-        block_of = fleet_block_map(n)
+        block_of = _one_group_block_map(n)
         digits = fleet_digits(n)
         assert block_of.shape == (4**n,)
         for idx in range(4**n):
@@ -68,7 +73,7 @@ class TestFleetBlockMap:
             assert states[block_of[idx]] == counts
 
     def test_every_block_is_hit(self):
-        block_of = fleet_block_map(3)
+        block_of = _one_group_block_map(3)
         assert set(block_of) == set(range(len(fleet_count_states(3))))
 
 
@@ -78,7 +83,7 @@ class TestFleetLumping:
     def test_reduced_generator_matches_direct_lumped_chain(self, n, servers):
         rates = _rates()
         flat = fleet_chain(n, rates, repair_servers=servers)
-        reduction = reduce_fleet(flat, n)
+        reduction = reduce_fleet_grouped(flat, [rates] * n)
         direct = fleet_lumped_chain(n, rates, repair_servers=servers)
         assert reduction.original_states == 4**n
         assert reduction.reduced_states == math.comb(n + 3, 3)
@@ -93,7 +98,7 @@ class TestFleetLumping:
     def test_wrong_size_rejected(self):
         flat = fleet_chain(2, _rates())
         with pytest.raises(SANError):
-            reduce_fleet(flat, 3)
+            reduce_fleet_grouped(flat, [_rates()] * 3)
 
     @given(rates=fleet_rates, n=st.integers(2, 4), t=st.floats(0.05, 6.0))
     @settings(max_examples=25, deadline=None)

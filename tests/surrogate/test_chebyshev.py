@@ -14,7 +14,6 @@ from repro.surrogate.chebyshev import (
     from_unit,
     holdout_nodes,
     stacked_eval,
-    stacked_eval_many,
     tensor_fit,
     to_unit,
 )
@@ -118,18 +117,6 @@ class TestTensorFit:
         assert stacked_eval(coeffs[None], (0.3, 0.0))[0] == pytest.approx(
             np.polynomial.chebyshev.chebval(0.3, coeffs[:, 0]), abs=1e-12
         )
-
-
-class TestStackedEval:
-    def test_many_matches_single(self):
-        rng = np.random.default_rng(5)
-        stacked = rng.standard_normal((3, 5, 4))
-        coords = rng.uniform(-1.0, 1.0, size=(9, 2))
-        batched = stacked_eval_many(stacked, coords)
-        assert batched.shape == (9, 3)
-        for i, point in enumerate(coords):
-            single = stacked_eval(stacked, tuple(point))
-            assert np.allclose(batched[i], single, atol=1e-12)
 
 
 class TestDerivativeTensor:

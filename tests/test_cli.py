@@ -121,6 +121,35 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "Campaign FIG12" in out
 
+    def test_spec_with_mixed_grids_rejected_before_solving(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Curves on different phi grids cannot share the campaign table:
+        the spec is refused up front (exit 2), not after every point is
+        solved and the table raises."""
+        import repro.cli as cli
+        from repro.gsu.parameters import PAPER_TABLE3
+        from repro.runtime.spec import CampaignSpec, CurveSpec
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("the campaign must not run")
+
+        monkeypatch.setattr(cli, "run_campaign", no_solve)
+        spec = CampaignSpec(
+            name="mixed",
+            curves=(
+                CurveSpec("a", PAPER_TABLE3, phis=(0.0, 5000.0, 10000.0)),
+                CurveSpec("b", PAPER_TABLE3, phis=(0.0, 2500.0, 10000.0)),
+            ),
+        )
+        spec_path = tmp_path / "mixed.json"
+        spec_path.write_text(spec.to_json())
+        assert main(["campaign", "--spec", str(spec_path), "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "curve 'b' has a different phi grid" in captured.err
+
     def test_campaign_matches_experiment_numbers(self, capsys):
         """`repro campaign FIG9` equals the experiment path's numbers."""
         from repro.analysis.experiments import run_experiment

@@ -16,12 +16,15 @@ EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 #: script -> substrings its stdout must contain.
 EXPECTED_OUTPUT = {
     "quickstart.py": ["Optimal guarded-operation duration", "Y = 1.53"],
-    "custom_san_model.py": ["Steady-state availability", "Simulated availability"],
+    "custom_san_model.py": [
+        "State space: 3 tangible markings",
+        "Steady-state availability",
+        "Simulated availability",
+    ],
     "protocol_trace.py": ["outcome statistics", "mean accrued worth"],
     "upgrade_planning.py": ["Upgrade planning summary", "elasticity"],
     "validation_study.py": ["CONSISTENT", "closed form"],
     "hybrid_evaluation.py": ["95% CI", "analytic Y inside the interval: yes"],
-    "two_stage_upgrade.py": ["recommended duration", "exact-rate optimum"],
 }
 
 

@@ -8,7 +8,6 @@ from repro.verify.invariants import (
     check_constituents,
     check_cutoff_continuity,
     check_worth,
-    worth_dominance_over,
 )
 
 
@@ -69,11 +68,6 @@ class TestWorthInvariants:
         for phi, row in analytic.items():
             checks = check_worth(row, scaled_params, phi)
             assert all(c.passed for c in checks)
-
-    def test_worth_dominance_over_grid(self, analytic, scaled_params):
-        assert worth_dominance_over(
-            sorted(analytic), analytic, scaled_params
-        )
 
 
 class TestCutoffContinuity:
