@@ -39,16 +39,20 @@ verify-smoke:
 
 # End-to-end smoke test of the campaign runtime: a tiny two-point-per-curve
 # campaign through the process backend, cached into a temp dir; the warm
-# rerun must be served entirely from the cache.
+# rerun, on the thread backend against the store the process run wrote,
+# must be served entirely from the cache, and the cache directory must
+# hold the one store, no per-entry ``??/*.json`` files.
 campaign-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro campaign FIG9 --step 10000 \
 		--backend process --jobs 2 --no-chart \
 		--cache-dir "$$tmp/cache" --run-dir "$$tmp/runs" >/dev/null && \
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro campaign FIG9 --step 10000 \
-		--backend process --jobs 2 --no-chart \
+		--backend thread --jobs 2 --no-chart \
 		--cache-dir "$$tmp/cache" --run-dir "$$tmp/runs" \
 		| grep -q "hit rate 100%" && \
+	test -s "$$tmp/cache/results.sqlite3" && \
+	test -z "$$(find "$$tmp/cache" -path '*/??/*.json')" && \
 	echo "campaign-smoke: OK (warm rerun fully cached)"
 
 # End-to-end smoke of the serving layer: boot an in-process server on an
@@ -129,7 +133,7 @@ experiments:
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src:$$PYTHONPATH $(PYTHON) $$script || exit 1; \
 	done
 
 clean:

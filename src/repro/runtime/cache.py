@@ -1,26 +1,34 @@
 """Content-addressed result caching: on-disk store plus memory tier.
 
-Three layers share one ``get(task)`` / ``put(task, record)`` interface:
+Three layers share one interface: a batched ``get_many(keys)`` /
+``put_many(entries)`` keyed by content address, which the executor uses,
+and single-entry ``get(task)`` / ``put(task, record)`` built on it:
 
 :class:`ResultCache`
-    The durable tier.  Layout: ``<root>/<key[:2]>/<key>.json`` where
-    ``key`` is the SHA-256 of the task's canonical input payload (see
-    :meth:`repro.runtime.tasks.EvaluationTask.cache_key`).  Each file is
-    an envelope ``{"schema": ..., "key": ..., "record": {...}}`` so a
-    read can verify it is looking at the entry it asked for.
+    The durable tier: one SQLite database per cache directory,
+    ``<root>/results.sqlite3``, in WAL mode, holding one table
+    ``entries(key TEXT PRIMARY KEY, body TEXT)``.  ``key`` is the
+    SHA-256 of the task's canonical input payload (see
+    :meth:`repro.runtime.tasks.EvaluationTask.cache_key`); ``body`` is
+    the envelope ``{"schema": ..., "key": ..., "record": {...}}`` as
+    ``json.dumps(envelope, sort_keys=True)`` writes it, so a read can
+    verify it is looking at the entry it asked for.
 :class:`MemoryLRUCache`
     A bounded in-process tier keyed by the same content addresses —
     microsecond lookups with least-recently-used eviction.
 :class:`TieredResultCache`
     Memory in front of disk: lookups probe memory first, disk hits are
     promoted into memory, writes go to both tiers.  The serving layer
-    and the CLI runtime paths share this composition.
+    shares this composition.
 
-Disk reads are corruption tolerant by design: a truncated, unparseable,
-or mismatched file logs a warning, counts as a ``corrupt`` (and a
-miss), and the caller recomputes — a damaged cache can cost time, never
-correctness.  Writes are atomic (temp file + ``os.replace``) so a
-crashed run cannot leave a half-written entry behind.
+Disk reads are corruption tolerant by design: an unparseable or
+mismatched row logs a warning naming its key, counts as a ``corrupt``
+(and a miss), and the caller recomputes and overwrites it; a store file
+that is not a database at all is moved aside with a warning and a new
+one is started — a damaged cache can cost time, never correctness.  A
+batch of writes is one transaction, so a crashed run or a failed write
+leaves no half-written entry behind.  Every (process, thread) opens its
+own connection; a forked worker never touches its parent's.
 """
 
 from __future__ import annotations
@@ -28,16 +36,48 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
+import sqlite3
 import threading
+import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from repro.runtime.records import validate_record
 from repro.runtime.tasks import CACHE_KEY_SCHEMA_VERSION, EvaluationTask
 
 logger = logging.getLogger(__name__)
+
+#: File name of the one store inside a cache directory.
+STORE_NAME = "results.sqlite3"
+
+#: Seconds a connection waits for another writer's lock before failing,
+#: so processes sharing a cache directory queue instead of erroring.
+BUSY_TIMEOUT_S = 60.0
+
+#: Keys per ``IN (...)`` probe query, well under SQLite's limit on bound
+#: parameters.
+PROBE_BATCH = 500
+
+#: ``json.dumps(envelope, sort_keys=True)`` as one shared encoder: the C
+#: encoder with the same bytes, without building an encoder per entry
+#: (``json.dump`` would stream through the slower pure-Python one).
+_ENVELOPE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+#: SQLite primary result codes.  ``sqlite3`` names them, and sets
+#: ``sqlite_errorcode`` on its exceptions, only from Python 3.11; on 3.10
+#: the code is read from the message.
+_SQLITE_BUSY, _SQLITE_CORRUPT, _SQLITE_NOTADB = 5, 11, 26
+_CODES_BY_MESSAGE = {
+    "database is locked": _SQLITE_BUSY,
+    "database disk image is malformed": _SQLITE_CORRUPT,
+    "file is not a database": _SQLITE_NOTADB,
+}
+
+#: Result codes meaning the store file itself is damaged.
+_DAMAGED_CODES = frozenset({_SQLITE_CORRUPT, _SQLITE_NOTADB})
 
 
 @dataclass
@@ -96,6 +136,9 @@ class ResultCache:
         version invalidates the cache without deleting anything.
     stats:
         Counters accumulated over this instance's lifetime.
+
+    Connections are opened lazily, one per (process id, thread), and
+    closed by :meth:`close` or when the cache is garbage collected.
     """
 
     root: Path
@@ -104,35 +147,74 @@ class ResultCache:
 
     def __post_init__(self):
         self.root = Path(self.root)
+        # (pid, thread id) -> (connection, inode of the file it opened)
+        self._connections: dict[tuple[int, int], tuple[sqlite3.Connection, int]]
+        self._connections = {}
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_connections, self._connections, self._lock)
 
-    # ------------------------------------------------------------------
-    # Addressing
-    # ------------------------------------------------------------------
+    @property
+    def path(self) -> Path:
+        """The store file."""
+        return self.root / STORE_NAME
+
     def key_for(self, task: EvaluationTask) -> str:
         """The content address of a task under this cache's schema."""
         return task.cache_key(self.schema_version)
-
-    def path_for(self, key: str) -> Path:
-        """On-disk location of an entry (two-level fan-out by prefix)."""
-        return self.root / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
     # Read / write
     # ------------------------------------------------------------------
     def get(self, task: EvaluationTask) -> dict | None:
         """The cached record for ``task``, or ``None`` on miss/corruption."""
-        key = self.key_for(task)
-        path = self.path_for(key)
+        return self.get_many([self.key_for(task)])[0]
+
+    def put(self, task: EvaluationTask, record: dict) -> None:
+        """Store one record."""
+        self.put_many([(self.key_for(task), record)])
+
+    def get_many(self, keys: Sequence[str]) -> list[dict | None]:
+        """Records for ``keys`` in order (``None`` on miss/corruption),
+        read in one batched probe."""
+        keys = list(keys)
+        bodies = self._recovering(self._select, keys) if keys else {}
+        records = []
+        for key in keys:
+            body = bodies.get(key)
+            if body is None:
+                self.stats.misses += 1
+                records.append(None)
+            else:
+                records.append(self._decode(key, body))
+        return records
+
+    def put_many(self, entries: Iterable[tuple[str, dict]]) -> None:
+        """Store ``(key, record)`` pairs in one transaction: all or none."""
+        rows = [(key, self._encode(key, record)) for key, record in entries]
+        if rows:
+            self._recovering(self._insert, rows)
+            self.stats.writes += len(rows)
+
+    def close(self) -> None:
+        """Close this process's connections (reopened on next use); call
+        it only while no other thread is using the cache."""
+        _close_connections(self._connections, self._lock)
+
+    def __len__(self) -> int:
+        """Number of entries in the store."""
+        return self._recovering(self._count)
+
+    # ------------------------------------------------------------------
+    # Envelopes
+    # ------------------------------------------------------------------
+    def _encode(self, key: str, record: dict) -> str:
+        validate_record(record)
+        envelope = {"schema": self.schema_version, "key": key, "record": record}
+        return _ENVELOPE_ENCODER.encode(envelope)
+
+    def _decode(self, key: str, body) -> dict | None:
         try:
-            text = path.read_text()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError as exc:
-            self._corrupt(path, f"unreadable ({exc})")
-            return None
-        try:
-            envelope = json.loads(text)
+            envelope = json.loads(body)
             if not isinstance(envelope, dict):
                 raise ValueError("envelope is not an object")
             if envelope.get("schema") != self.schema_version:
@@ -143,53 +225,164 @@ class ResultCache:
                 raise ValueError("stored key does not match content address")
             record = envelope["record"]
             validate_record(record)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            self._corrupt(path, str(exc))
+        except (ValueError, KeyError, TypeError) as exc:
+            logger.warning(
+                "result cache entry %s in %s is unusable (%s); recomputing",
+                key, self.path, exc,
+            )
+            self.stats.corrupt += 1
+            self.stats.misses += 1
             return None
         self.stats.hits += 1
         return record
 
-    def put(self, task: EvaluationTask, record: dict) -> Path:
-        """Store a record atomically; returns the entry path."""
-        validate_record(record)
-        key = self.key_for(task)
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        envelope = {"schema": self.schema_version, "key": key, "record": record}
-        # One ``dumps`` call runs the C encoder; ``json.dump`` streams
-        # through the pure-Python one.  The bytes are the same.
-        text = json.dumps(envelope, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
+    # ------------------------------------------------------------------
+    # Store access
+    # ------------------------------------------------------------------
+    def _select(self, keys: list[str]) -> dict:
+        connection = self._connection(create=False)
+        if connection is None:
+            return {}
+        found = {}
+        for start in range(0, len(keys), PROBE_BATCH):
+            batch = keys[start : start + PROBE_BATCH]
+            marks = ",".join("?" * len(batch))
+            found.update(
+                connection.execute(
+                    f"SELECT key, body FROM entries WHERE key IN ({marks})", batch
+                )
+            )
+        return found
+
+    def _insert(self, rows: list[tuple[str, str]]) -> None:
+        connection = self._connection(create=True)
+        with connection:
+            connection.execute("BEGIN IMMEDIATE")
+            connection.executemany(
+                "INSERT OR REPLACE INTO entries (key, body) VALUES (?, ?)", rows
+            )
+
+    def _count(self) -> int:
+        connection = self._connection(create=False)
+        if connection is None:
+            return 0
+        return connection.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+
+    def _connection(self, create: bool) -> sqlite3.Connection | None:
+        """This thread's connection; ``None`` when the store does not
+        exist and ``create`` is false (a read never creates it)."""
+        ident = (os.getpid(), threading.get_ident())
+        entry = self._connections.get(ident)
+        if entry is not None:
+            return entry[0]
+        if not create and not self.path.exists():
+            return None
+        self.root.mkdir(parents=True, exist_ok=True)
+        # check_same_thread is off so the finalizer may close it from
+        # another thread; each connection is used only by its own thread.
+        connection = sqlite3.connect(
+            self.path,
+            timeout=BUSY_TIMEOUT_S,
+            isolation_level=None,
+            check_same_thread=False,
         )
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
+            _enable_wal(connection)
+            # WAL + NORMAL: a commit survives a crash of the program (not
+            # necessarily a power loss) and never leaves the store torn.
+            connection.execute("PRAGMA synchronous=NORMAL")
+            with connection:
+                # IMMEDIATE takes the write lock up front, through the
+                # busy timeout, so racing first opens queue.
+                connection.execute("BEGIN IMMEDIATE")
+                connection.execute(
+                    "CREATE TABLE IF NOT EXISTS entries "
+                    "(key TEXT PRIMARY KEY, body TEXT NOT NULL)"
+                )
+            inode = os.stat(self.path).st_ino
         except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            connection.close()
             raise
-        self.stats.writes += 1
-        return path
+        with self._lock:
+            self._connections[ident] = (connection, inode)
+        return connection
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _corrupt(self, path: Path, reason: str) -> None:
+    def _recovering(self, operation, *args):
+        """``operation(*args)``, retried once on a fresh store when the
+        store file turns out not to be a usable database."""
+        try:
+            return operation(*args)
+        except sqlite3.DatabaseError as exc:
+            if _error_code(exc) not in _DAMAGED_CODES:
+                raise
+            self._set_aside(exc)
+        return operation(*args)
+
+    def _set_aside(self, exc: sqlite3.DatabaseError) -> None:
+        """Rename a damaged store aside (dropping its WAL and shared
+        memory files) so the next connection starts a new one.  A store
+        another thread or process already replaced is left alone."""
+        with self._lock:
+            entry = self._connections.pop((os.getpid(), threading.get_ident()), None)
+        inode = None
+        if entry is not None:
+            entry[0].close()
+            inode = entry[1]
+        aside = self.path.with_name(f"{STORE_NAME}.damaged-{time.time_ns()}")
+        try:
+            if inode is not None and os.stat(self.path).st_ino != inode:
+                return
+            os.replace(self.path, aside)
+        except FileNotFoundError:
+            return
         logger.warning(
-            "result cache entry %s is unusable (%s); recomputing", path, reason
+            "result cache store %s is damaged (%s); moved it to %s and "
+            "started a new one", self.path, exc, aside,
         )
-        self.stats.corrupt += 1
-        self.stats.misses += 1
+        for suffix in ("-wal", "-shm"):
+            try:
+                os.unlink(f"{self.path}{suffix}")
+            except FileNotFoundError:
+                pass
 
-    def __len__(self) -> int:
-        """Number of entries currently on disk."""
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("??/*.json"))
+
+def _error_code(exc: sqlite3.Error) -> int:
+    """The primary SQLite result code of ``exc`` (0 when unknown)."""
+    code = getattr(exc, "sqlite_errorcode", None)
+    if code is None:
+        return _CODES_BY_MESSAGE.get(str(exc), 0)
+    return code & 0xFF
+
+
+def _enable_wal(connection: sqlite3.Connection) -> None:
+    """Put the store in WAL mode (a persistent, one-time switch).
+
+    Switching fails at once with ``SQLITE_BUSY`` while another
+    connection holds a lock — the busy timeout does not apply — so the
+    first opens of a new store by several threads or processes retry
+    until :data:`BUSY_TIMEOUT_S`.  Where WAL is unavailable SQLite keeps
+    its rollback journal, which is slower but as safe.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if _error_code(exc) != _SQLITE_BUSY or time.monotonic() > deadline:
+                raise
+            time.sleep(0.005)
+
+
+def _close_connections(connections: dict, lock: threading.Lock) -> None:
+    """Close the calling process's connections in ``connections``; a
+    forked child leaves its parent's alone."""
+    pid = os.getpid()
+    with lock:
+        mine = [ident for ident in connections if ident[0] == pid]
+        closing = [connections.pop(ident)[0] for ident in mine]
+    for connection in closing:
+        connection.close()
 
 
 #: Default capacity of the in-memory tier (records are small dicts, so
@@ -341,19 +534,29 @@ class TieredResultCache:
 
     def get(self, task: EvaluationTask) -> dict | None:
         """Memory first, then disk (promoting the hit); ``None`` on miss."""
-        key = self.key_for(task)
-        record = self.memory.get_key(key)
-        if record is not None:
-            return record
-        if self.disk is None:
-            return None
-        record = self.disk.get(task)
-        if record is not None:
-            self.memory.put_key(key, record)
-        return record
+        return self.get_many([self.key_for(task)])[0]
 
     def put(self, task: EvaluationTask, record: dict) -> None:
         """Store a record in both tiers."""
-        self.memory.put_key(self.key_for(task), record)
+        self.put_many([(self.key_for(task), record)])
+
+    def get_many(self, keys: Sequence[str]) -> list[dict | None]:
+        """Memory first, then one disk probe for the rest (promoting
+        its hits); ``None`` per miss."""
+        records = [self.memory.get_key(key) for key in keys]
+        missing = [i for i, record in enumerate(records) if record is None]
+        if self.disk is not None and missing:
+            found = self.disk.get_many([keys[i] for i in missing])
+            for i, record in zip(missing, found):
+                if record is not None:
+                    self.memory.put_key(keys[i], record)
+                    records[i] = record
+        return records
+
+    def put_many(self, entries: Iterable[tuple[str, dict]]) -> None:
+        """Store ``(key, record)`` pairs in both tiers."""
+        entries = list(entries)
+        for key, record in entries:
+            self.memory.put_key(key, record)
         if self.disk is not None:
-            self.disk.put(task, record)
+            self.disk.put_many(entries)

@@ -11,21 +11,22 @@ Three backends behind one interface:
     ``ProcessPoolExecutor`` — full CPU parallelism; tasks and records
     are plain picklable data by construction.
 
-Every entry point probes the cache, cuts the cache-missing tasks into
-*chunks* and hands them to one dispatcher, :func:`_dispatch`.  On the
-campaign and fleet paths a chunk is a whole curve (every missing point
-of one parameter set), so a worker builds the models and pays the
-per-curve steady-state and spectral work once; a curve is split only
-when there are fewer curves than workers and it is longer than
-:data:`MIN_SPLIT_POINTS`.  Every campaign chunk is solved one way, by
-:func:`_solve_points`: one ``evaluate_batch`` pass on a
-template-restamped solver.  A verification block or a surrogate fit node
-is one chunk.  The parent writes each chunk's cache entries as soon as
-the chunk completes, while the pool computes the rest, and the first
-failing chunk cancels every chunk not yet started.  Results are
-reassembled strictly in the order the tasks were submitted — backend
-choice, chunking, completion order, and worker count never change the
-output, only the wall clock.
+Every entry point hands its tasks to one dispatcher, :func:`_dispatch`,
+which probes the cache for all of them in one batched read and cuts the
+cache-missing tasks into *chunks*.  On the campaign and fleet paths a
+chunk is a whole curve (every missing point of one parameter set), so a
+worker builds the models and pays the per-curve steady-state and
+spectral work once; a curve is split only when there are fewer curves
+than workers and it is longer than :data:`MIN_SPLIT_POINTS`.  Every
+campaign chunk is solved one way, by :func:`_solve_points`: one
+``evaluate_batch`` pass on a template-restamped solver.  A verification
+block or a surrogate fit node is one chunk.  The parent writes each
+chunk's cache entries, in one transaction, as soon as the chunk
+completes, while the pool computes the rest, and the first failing
+chunk cancels every chunk not yet started.  Results are reassembled
+strictly in the order the tasks were submitted — backend choice,
+chunking, completion order, and worker count never change the output,
+only the wall clock.
 """
 
 from __future__ import annotations
@@ -102,9 +103,11 @@ def _dispatch(
     task)`` pairs into chunks for ``workers`` concurrent workers (one on
     the serial backend).  ``call(chunk)`` is ``(worker, *args)``; the
     worker returns one ``(record, seconds)`` per task of the chunk.
-    Each chunk's entries are written as soon as it completes.  When a
-    chunk raises, chunks not yet started are cancelled, the chunks still
-    running are awaited and written, and the exception propagates.
+    Each task's content address is hashed once; the cache is probed for
+    all tasks in one batch, and each chunk's entries are written in one
+    batch as soon as the chunk completes.  When a chunk raises, chunks
+    not yet started are cancelled, the chunks still running are awaited
+    and written, and the exception propagates.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -113,8 +116,12 @@ def _dispatch(
 
     outcomes: dict[int, TaskOutcome] = {}
     pending: list[tuple[int, object]] = []
-    for position, task in enumerate(tasks):
-        record = cache.get(task) if cache is not None else None
+    if cache is not None:
+        keys = [cache.key_for(task) for task in tasks]
+        found = cache.get_many(keys)
+    else:
+        found = [None] * len(tasks)
+    for position, (task, record) in enumerate(zip(tasks, found)):
         if record is not None:
             outcomes[position] = TaskOutcome(
                 task=task, record=record, seconds=0.0, cached=True
@@ -124,9 +131,12 @@ def _dispatch(
     chunks = plan(pending, 1 if backend == "serial" else jobs)
 
     def finish(chunk, results):
+        if cache is not None:
+            cache.put_many(
+                (keys[position], record)
+                for (position, _), (record, _) in zip(chunk, results)
+            )
         for (position, task), (record, seconds) in zip(chunk, results):
-            if cache is not None:
-                cache.put(task, record)
             outcomes[position] = TaskOutcome(
                 task=task, record=record, seconds=seconds, cached=False
             )

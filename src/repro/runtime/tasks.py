@@ -35,6 +35,15 @@ CACHE_KEY_SCHEMA_VERSION = 2
 #: measure families cannot collide with ``Y(phi)`` entries).
 _MEASURE = "performability.Y"
 
+#: Canonical key-payload encoder: sorted keys, compact separators.  One
+#: shared instance, so hashing a key does not build an encoder per call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _content_address(payload: dict) -> str:
+    """SHA-256 of a key payload's canonical JSON."""
+    return hashlib.sha256(_KEY_ENCODER.encode(payload).encode("utf-8")).hexdigest()
+
 
 @dataclass(frozen=True)
 class EvaluationTask:
@@ -79,12 +88,7 @@ class EvaluationTask:
 
     def cache_key(self, schema_version: int = CACHE_KEY_SCHEMA_VERSION) -> str:
         """SHA-256 content address of this task's inputs."""
-        payload = json.dumps(
-            self.key_payload(schema_version),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _content_address(self.key_payload(schema_version))
 
 
 #: Measure namespace of verification-block tasks — distinct from
@@ -161,12 +165,7 @@ class VerificationTask:
 
     def cache_key(self, schema_version: int = CACHE_KEY_SCHEMA_VERSION) -> str:
         """SHA-256 content address of this block's inputs."""
-        payload = json.dumps(
-            self.key_payload(schema_version),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _content_address(self.key_payload(schema_version))
 
 
 #: Measure namespace of fleet tasks — distinct from ``performability.Y``
@@ -215,12 +214,7 @@ class FleetTask:
 
     def cache_key(self, schema_version: int = CACHE_KEY_SCHEMA_VERSION) -> str:
         """SHA-256 content address of this task's inputs."""
-        payload = json.dumps(
-            self.key_payload(schema_version),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _content_address(self.key_payload(schema_version))
 
 
 #: Measure namespace of synthesis-step tasks — distinct from every other
@@ -275,12 +269,7 @@ class SynthesisStepTask:
 
     def cache_key(self, schema_version: int = CACHE_KEY_SCHEMA_VERSION) -> str:
         """SHA-256 content address of this step's inputs."""
-        payload = json.dumps(
-            self.key_payload(schema_version),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _content_address(self.key_payload(schema_version))
 
 
 #: Measure namespace of surrogate fit-node tasks — distinct from every
@@ -332,12 +321,7 @@ class SurrogateFitTask:
 
     def cache_key(self, schema_version: int = CACHE_KEY_SCHEMA_VERSION) -> str:
         """SHA-256 content address of this node's inputs."""
-        payload = json.dumps(
-            self.key_payload(schema_version),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _content_address(self.key_payload(schema_version))
 
 
 def plan_fleet_tasks(

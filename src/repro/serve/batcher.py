@@ -135,7 +135,7 @@ class CoalescingBatcher:
         misses = self._probe_memory(cache, key_to_task, records, sources)
         if misses:
             misses = await self._probe_disk(
-                loop, cache, key_to_task, misses, records, sources
+                loop, cache, misses, records, sources
             )
 
         # Fetch the bucket only now: the disk probe awaits, and any
@@ -222,7 +222,6 @@ class CoalescingBatcher:
         self,
         loop: asyncio.AbstractEventLoop,
         cache,
-        key_to_task: dict[str, EvaluationTask],
         misses: list[str],
         records: dict[str, dict],
         sources: dict[str, str],
@@ -230,19 +229,15 @@ class CoalescingBatcher:
         """Probe the durable tier off-loop; returns the keys still missing.
 
         A request may probe thousands of points, so the synchronous
-        file reads run as one executor job instead of stalling the
-        event loop.  Hits are promoted into the memory tier, mirroring
-        :meth:`~repro.runtime.cache.TieredResultCache.get`.
+        store read runs as one batched executor job instead of stalling
+        the event loop.  Hits are promoted into the memory tier,
+        mirroring :meth:`~repro.runtime.cache.TieredResultCache.get_many`.
         """
         disk = getattr(cache, "disk", None)
         memory = getattr(cache, "memory", None)
         if disk is None or memory is None:
             return misses
-        probe_tasks = [key_to_task[key] for key in misses]
-        found = await loop.run_in_executor(
-            self.executor,
-            lambda: [disk.get(task) for task in probe_tasks],
-        )
+        found = await loop.run_in_executor(self.executor, disk.get_many, misses)
         still_missing: list[str] = []
         for key, record in zip(misses, found):
             if record is None:
@@ -299,16 +294,14 @@ class CoalescingBatcher:
                 point.future.set_result(record)
         self._inflight_points -= len(batch)
         if memory is not None and disk is not None:
-            # Persist off-loop after the futures resolve: waiters never
-            # pay for file I/O, and the event loop never blocks on it.
-            # A failed write costs durability, not correctness — the
-            # records are already served and resident in memory.
-            def _persist():
-                for (_, point), record in zip(batch, solved):
-                    disk.put(point.task, record)
-
+            # Persist off-loop after the futures resolve, in one
+            # transaction: waiters never pay for store I/O, and the
+            # event loop never blocks on it.  A failed write costs
+            # durability, not correctness — the records are already
+            # served and resident in memory.
+            entries = [(key, record) for (key, _), record in zip(batch, solved)]
             try:
-                await loop.run_in_executor(self.executor, _persist)
+                await loop.run_in_executor(self.executor, disk.put_many, entries)
             except Exception as exc:  # noqa: BLE001 - durability only
                 logger.warning(
                     "disk tier write failed for %d solved points (%s); "

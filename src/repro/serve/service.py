@@ -751,6 +751,10 @@ class PerformabilityService:
                 self._loop.remove_signal_handler(signum)
             self.synth_executor.shutdown(wait=True, cancel_futures=True)
             self.executor.shutdown(wait=True, cancel_futures=True)
+            if self.cache.disk is not None:
+                # The worker threads that owned the store connections
+                # are gone; closing them checkpoints the store's WAL.
+                self.cache.disk.close()
 
 
 class ServerHandle:

@@ -71,6 +71,9 @@ class FitReport:
         points (before the safety factor).
     wall_seconds / solve_seconds:
         End-to-end fit time and the solver share of it.
+    templates:
+        This fit's SAN template-cache counters (compiles, restamps,
+        fallbacks).
     """
 
     model: SurrogateModel
@@ -81,6 +84,7 @@ class FitReport:
     residuals: dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
     solve_seconds: float = 0.0
+    templates: dict[str, int] = field(default_factory=dict)
 
 
 def check_fit_inputs(spec: SurrogateSpec, safety: float) -> None:
@@ -355,17 +359,15 @@ def fit_surrogate(
         coeffs=coeffs,
         bounds=bounds,
         scales=scales,
+        # Only what determines the surrogate goes into its meta (and so
+        # its digest); how this run went is on the FitReport.
         meta={
             "fit": {
                 "node_tasks": len(tasks),
-                "cached_nodes": cached_nodes,
                 "holdout_points": holdout_points,
                 "spot_points": spot_points,
                 "safety": float(safety),
                 "spot_seed": int(seed),
-                "wall_seconds": wall_seconds,
-                "solve_seconds": solve_seconds,
-                "templates": template_stats.to_dict(),
             },
             "residuals": residuals,
         },
@@ -379,4 +381,5 @@ def fit_surrogate(
         residuals=residuals,
         wall_seconds=wall_seconds,
         solve_seconds=solve_seconds,
+        templates=template_stats.to_dict(),
     )

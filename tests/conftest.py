@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sqlite3
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 from repro.ctmc.chain import CTMC
 from repro.gsu.parameters import PAPER_TABLE3, GSUParameters
+from repro.runtime.cache import STORE_NAME
 from repro.san.activities import Case, TimedActivity
 from repro.san.gates import InputGate
 from repro.san.model import SANModel
@@ -205,3 +208,19 @@ def absorbing_san() -> SANModel:
         input_gates=[InputGate("ig_alive", predicate=lambda m: m["failed"] == 0)],
     )
     return SANModel("failure", places, [fail])
+
+
+def store_rows(root) -> dict[str, str]:
+    """Every ``key -> body`` row of the result-cache store under ``root``."""
+    with closing(sqlite3.connect(root / STORE_NAME)) as connection:
+        return dict(connection.execute("SELECT key, body FROM entries"))
+
+
+def set_store_body(root, key: str, body) -> None:
+    """Overwrite one stored row's body (damages it for fault tests)."""
+    with closing(sqlite3.connect(root / STORE_NAME)) as connection:
+        with connection:
+            updated = connection.execute(
+                "UPDATE entries SET body = ? WHERE key = ?", (body, key)
+            ).rowcount
+    assert updated == 1, f"no stored row for {key}"

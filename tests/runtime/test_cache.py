@@ -1,9 +1,10 @@
-"""Tests for the content-addressed result cache (ISSUE satellite).
+"""Tests for the content-addressed result cache.
 
 Covers: cold-run population, warm-run identity with *zero* solver
-invocations (counted by wrapping the executor's ``evaluate_batch``), corruption
-fallback, and cache-key sensitivity to every parameter field and to the
-key-schema version.
+invocations (counted by wrapping the executor's ``evaluate_batch``),
+fallback on damaged rows, and cache-key sensitivity to every parameter
+field and to the key-schema version.  Faults of the store file itself
+are in ``test_cache_faults.py``.
 """
 
 import dataclasses
@@ -31,6 +32,7 @@ from repro.runtime.tasks import (
     plan_campaign,
     plan_fleet_tasks,
 )
+from tests.conftest import set_store_body, store_rows
 
 
 def small_spec(name="cache-test", phis=(0.0, 4000.0, 10_000.0)):
@@ -107,34 +109,34 @@ class TestColdWarm:
 
 
 class TestCorruption:
+    """A damaged row is a miss and a recompute, never a wrong answer."""
+
     def _one_entry(self, cache):
         spec = small_spec(phis=(5000.0,))
         run_campaign(spec, cache=cache)
         task = plan_campaign(spec)[0]
-        return spec, task, cache.path_for(cache.key_for(task))
+        return spec, task, cache.key_for(task)
 
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda path: path.write_text("{ not json"),
-            lambda path: path.write_text(""),
-            lambda path: path.write_text(json.dumps({"schema": 999})),
-            lambda path: path.write_text(
-                json.dumps(
-                    {
-                        "schema": CACHE_KEY_SCHEMA_VERSION,
-                        "key": "0" * 64,
-                        "record": {},
-                    }
-                )
+            lambda body: "{ not json",
+            lambda body: body[: len(body) // 2],
+            lambda body: json.dumps({"schema": 999}),
+            lambda body: json.dumps(
+                {
+                    "schema": CACHE_KEY_SCHEMA_VERSION,
+                    "key": "0" * 64,
+                    "record": {},
+                }
             ),
         ],
         ids=["garbage", "truncated", "wrong-schema", "wrong-key"],
     )
     def test_corrupt_entry_recomputes_and_heals(self, cache, damage, count_solves):
-        spec, task, path = self._one_entry(cache)
+        spec, task, key = self._one_entry(cache)
         reference = run_campaign(spec, cache=cache)
-        damage(path)
+        set_store_body(cache.root, key, damage(store_rows(cache.root)[key]))
 
         counter = count_solves()
         result = run_campaign(spec, cache=cache)
@@ -147,14 +149,14 @@ class TestCorruption:
         assert healed.cache_stats.corrupt == 0
 
     def test_corrupt_entry_logs_a_warning(self, cache, caplog):
-        spec, task, path = self._one_entry(cache)
-        path.write_text("{ not json")
+        spec, task, key = self._one_entry(cache)
+        set_store_body(cache.root, key, "{ not json")
         misses_before = cache.stats.misses
         with caplog.at_level(logging.WARNING, logger="repro.runtime.cache"):
             assert cache.get(task) is None
         messages = [r.getMessage() for r in caplog.records]
         assert any(
-            "unusable" in m and "recomputing" in m and str(path) in m
+            "unusable" in m and "recomputing" in m and key in m
             for m in messages
         ), messages
         # Corruption is also a miss: both counters move together.
@@ -163,10 +165,10 @@ class TestCorruption:
         assert cache.stats.hits == 0
 
     def test_record_with_missing_fields_is_corrupt(self, cache):
-        spec, task, path = self._one_entry(cache)
-        envelope = json.loads(path.read_text())
+        spec, task, key = self._one_entry(cache)
+        envelope = json.loads(store_rows(cache.root)[key])
         del envelope["record"]["constituents"]
-        path.write_text(json.dumps(envelope))
+        set_store_body(cache.root, key, json.dumps(envelope))
         assert cache.get(task) is None
         assert cache.stats.corrupt == 1
 
@@ -245,7 +247,7 @@ class TestKeying:
 
 
 class TestEntryBytes:
-    """``put`` writes exactly the bytes a streamed ``json.dump`` gave."""
+    """``put`` stores exactly the bytes a streamed ``json.dump`` gave."""
 
     @staticmethod
     def _streamed(cache, task, record):
@@ -260,8 +262,9 @@ class TestEntryBytes:
 
     def test_campaign_record(self, cache):
         (outcome,) = run_campaign(small_spec(phis=(5000.0,))).outcomes
-        path = cache.put(outcome.task, outcome.record)
-        assert path.read_bytes() == self._streamed(
+        cache.put(outcome.task, outcome.record)
+        body = store_rows(cache.root)[cache.key_for(outcome.task)]
+        assert body.encode() == self._streamed(
             cache, outcome.task, outcome.record
         )
 
@@ -270,8 +273,9 @@ class TestEntryBytes:
             index=0, params=PAPER_TABLE3, phis=(0.0, 2500.0, 10_000.0)
         )
         ((record, _seconds),) = _solve_surrogate_node(task)
-        path = cache.put(task, record)
-        assert path.read_bytes() == self._streamed(cache, task, record)
+        cache.put(task, record)
+        body = store_rows(cache.root)[cache.key_for(task)]
+        assert body.encode() == self._streamed(cache, task, record)
 
 
 class TestMemoryLRUCache:

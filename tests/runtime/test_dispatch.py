@@ -4,7 +4,7 @@ A chunk is one whole curve unless there are fewer curves than workers
 and the curve is longer than ``MIN_SPLIT_POINTS``.  Cache entries are
 written as each chunk completes, the first failing chunk cancels every
 chunk not yet started, and none of this changes a record, a cache key
-or a cache file.
+or a stored cache entry.
 """
 
 import threading
@@ -35,6 +35,7 @@ from repro.runtime.tasks import (
 )
 from repro.verify.conformance import resolve_profile
 from repro.verify.runner import plan_verify_tasks
+from tests.conftest import store_rows
 
 GRID = tuple(default_grid(PAPER_TABLE3.theta, step=500.0))  # 21 points
 
@@ -129,14 +130,6 @@ class TestChunkPlan:
         assert sorted(spy.lengths) == [3, 3, 6, 6, 6, 6, 6, 6]
 
 
-def _tree(root):
-    return {
-        path.relative_to(root).as_posix(): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
-
-
 class TestCacheFiles:
     def test_cache_tree_independent_of_chunking(self, tmp_path):
         spec = _spec(3)
@@ -147,9 +140,9 @@ class TestCacheFiles:
             spec, backend="process", jobs=2, chunk_size=6,
             cache_dir=tmp_path / "chunked",
         )
-        whole = _tree(tmp_path / "whole")
+        whole = sorted(store_rows(tmp_path / "whole").items())
         assert len(whole) == 3 * len(GRID)
-        assert whole == _tree(tmp_path / "chunked")
+        assert whole == sorted(store_rows(tmp_path / "chunked").items())
 
     @pytest.mark.parametrize("kind", ["campaign", "fleet", "surrogate", "verify"])
     def test_every_computed_entry_on_disk_at_return(self, tmp_path, kind):

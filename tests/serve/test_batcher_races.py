@@ -140,20 +140,20 @@ def test_overload_leaves_no_empty_pending_entry():
 
 
 class RecordingResultCache(ResultCache):
-    """A disk tier that records which thread each get/put ran on."""
+    """A disk tier that records which thread each read/write ran on."""
 
     def __init__(self, root):
         super().__init__(root=root)
         self.get_threads = []
         self.put_threads = []
 
-    def get(self, task):
+    def get_many(self, keys):
         self.get_threads.append(threading.current_thread())
-        return super().get(task)
+        return super().get_many(keys)
 
-    def put(self, task, record):
+    def put_many(self, entries):
         self.put_threads.append(threading.current_thread())
-        return super().put(task, record)
+        return super().put_many(entries)
 
 
 def test_disk_tier_io_runs_off_the_event_loop(tmp_path):

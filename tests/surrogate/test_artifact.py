@@ -5,6 +5,7 @@ original surrogate's evaluations and gradients to the last bit, because
 the certified bounds it carries were measured against *those* numbers.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -80,6 +81,25 @@ class TestVerification:
         path.write_text(json.dumps(data, sort_keys=True))
         with pytest.raises(ValueError, match="digest mismatch"):
             load_surrogate(path)
+
+    def test_artifact_with_run_facts_in_meta_still_loads(self, model, tmp_path):
+        """Artifacts written before run timings left ``meta`` carry them
+        inside their digest; the digest is checked over the payload as
+        stored, so they still load."""
+        path = save_surrogate(model, tmp_path / "m.json")
+        data = json.loads(path.read_text())
+        data["meta"]["fit"].update(
+            cached_nodes=0, wall_seconds=0.25, solve_seconds=0.2,
+            templates={"compiles": 4, "restamps": 9, "fallbacks": 0},
+        )
+        del data["digest"]
+        data["digest"] = hashlib.sha256(
+            json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        path.write_text(json.dumps(data, sort_keys=True))
+        loaded = load_surrogate(path)
+        assert loaded.meta["digest"] == data["digest"] != model.meta["digest"]
+        assert loaded.meta["fit"]["wall_seconds"] == 0.25
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"

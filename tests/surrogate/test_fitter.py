@@ -13,7 +13,8 @@ from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
 from repro.runtime.cache import ResultCache
 from repro.runtime.tasks import SurrogateFitTask
-from repro.surrogate import AxisSpec, SurrogateSpec, fit_surrogate
+from repro.surrogate import AxisSpec, SurrogateSpec, fit_surrogate, smoke_spec
+from repro.surrogate.artifact import save_surrogate, surrogate_digest
 from repro.surrogate.chebyshev import holdout_nodes
 from repro.surrogate.fitter import BOUND_FLOOR, DEFAULT_SAFETY_FACTOR
 from repro.surrogate.model import MEASURE_NAMES
@@ -49,10 +50,12 @@ class TestFitReport:
         assert fit_meta["node_tasks"] == fit_report.node_tasks
         assert fit_meta["holdout_points"] == fit_report.holdout_points
         assert fit_meta["safety"] == DEFAULT_SAFETY_FACTOR
-        assert set(fit_meta["templates"]) == {
-            "compiles", "restamps", "fallbacks"
-        }
         assert model.meta["residuals"] == fit_report.residuals
+        # Run facts stay on the report, out of the artifact's digest.
+        assert set(fit_report.templates) == {"compiles", "restamps", "fallbacks"}
+        assert not {
+            "cached_nodes", "wall_seconds", "solve_seconds", "templates"
+        } & set(fit_meta)
 
 
 class TestFitAccuracy:
@@ -89,6 +92,17 @@ class TestCachedRefit:
         # Identical inputs, identical certified artifact.
         assert np.array_equal(first.model.coeffs, second.model.coeffs)
         assert first.model.bounds == second.model.bounds
+
+    def test_cold_and_warm_smoke_fits_share_a_digest(self, tmp_path):
+        cache = ResultCache(root=tmp_path / "cache")
+        cold = fit_surrogate(smoke_spec(), cache=cache)
+        warm = fit_surrogate(smoke_spec(), cache=cache)
+        assert cold.cached_nodes == 0
+        assert warm.cached_nodes == warm.node_tasks
+        assert surrogate_digest(cold.model) == surrogate_digest(warm.model)
+        assert save_surrogate(cold.model, tmp_path / "a").name == (
+            save_surrogate(warm.model, tmp_path / "b").name
+        )
 
 
 class TestFitTaskKeys:

@@ -11,6 +11,7 @@ from repro.runtime.executor import execute_verify_tasks
 from repro.runtime.records import validate_record
 from repro.verify.conformance import resolve_profile
 from repro.verify.runner import plan_verify_tasks, run_verify
+from tests.conftest import set_store_body
 
 
 @pytest.fixture
@@ -73,7 +74,7 @@ class TestVerifyExecution:
         cache = ResultCache(root=tmp_path / "cache")
         task = plan_verify_tasks(small_profile)[4]  # an RMNd block: cheap
         (reference,) = execute_verify_tasks([task], cache=cache)
-        cache.path_for(cache.key_for(task)).write_text("{ not json")
+        set_store_body(cache.root, cache.key_for(task), "{ not json")
         (healed,) = execute_verify_tasks([task], cache=cache)
         assert not healed.cached
         assert healed.record == reference.record
