@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.core.constituent import EvaluationContext
 from repro.core.hybrid import HybridPipeline, MeasurementSource
-from repro.gsu import ConstituentSolver, evaluate_index, hybrid_evaluate
+from repro.gsu import ConstituentSolver, evaluate_index
+from repro.gsu.hybrid import hybrid_evaluate
 from repro.gsu.performability import build_translation_pipeline
 from repro.gsu.validation import SCALED_VALIDATION_PARAMS
 

@@ -28,7 +28,8 @@ batched, template-restamped solve path.
 Every verb validates its input through :mod:`repro.query`, the same
 rules ``repro serve`` applies to HTTP bodies.  Exit status: 0 success,
 1 a failed verdict or claim (``experiment``, ``verify``, ``validate``,
-``synthesize --validate``), 2 bad input.
+``synthesize --validate``), 2 bad input or a result cache that cannot
+be opened.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.analysis.sweep import run_sweep
 from repro.analysis.tables import optimum_table, sweep_table
 from repro.ctmc.errors import CTMCError
 from repro.gsu.fleet import FleetParameters
-from repro.gsu.hybrid import hybrid_evaluate
 from repro.gsu.measures import ConstituentSolver
 from repro.gsu.models.rm_gd import build_rm_gd
 from repro.gsu.models.rm_gp import build_rm_gp
@@ -54,7 +54,7 @@ from repro.gsu.models.rm_nd import build_rm_nd
 from repro.gsu.optimizer import find_optimal_phi
 from repro.gsu.parameters import PAPER_TABLE3, GSUParameters
 from repro.gsu.performability import evaluate_index
-from repro.gsu.validation import SCALED_VALIDATION_PARAMS, validate_constituents
+from repro.runtime.cache import CacheOpenError
 from repro.runtime.campaign import RuntimeConfig, run_campaign, use_config
 from repro.runtime.executor import BACKENDS
 from repro.runtime.spec import FIGURE_CAMPAIGNS, figure_campaign
@@ -767,8 +767,8 @@ def _cmd_synthesize(args) -> int:
         accumulated_distribution,
         apply_point,
         run_synthesis,
-        synthesis_conformance,
     )
+    from repro.synth.validate import synthesis_conformance
     from repro.verify.conformance import DEFAULT_VERIFY_SEED
 
     params = _params(args)
@@ -1079,6 +1079,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from repro.gsu.validation import SCALED_VALIDATION_PARAMS, validate_constituents
+
     params = _params(args, SCALED_VALIDATION_PARAMS)
     [phi] = query.phi_grid(params, [args.phi])
     report = validate_constituents(
@@ -1092,6 +1094,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_hybrid(args) -> int:
+    from repro.gsu.hybrid import hybrid_evaluate
+    from repro.gsu.validation import SCALED_VALIDATION_PARAMS
+
     params = _params(args, SCALED_VALIDATION_PARAMS)
     [phi] = query.phi_grid(params, [args.phi])
     hybrid = hybrid_evaluate(
@@ -1204,11 +1209,12 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the exit status (2 for bad input)."""
+    """CLI entry point; returns the exit status (2 for bad input or an
+    unopenable result cache)."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except query.QueryError as exc:
+    except (query.QueryError, CacheOpenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import stats
 
 from repro.ctmc import config
 from repro.ctmc.errors import CTMCError
@@ -49,6 +48,7 @@ from repro.ctmc.uniformization import (
     accrual_right_point,
     fox_glynn_weights,
     poisson_excess_mean,
+    poisson_survival,
 )
 
 try:  # pragma: no cover - exercised implicitly by every streaming test
@@ -303,7 +303,7 @@ def _stream(
                 # anything, so charge it against the bound first.
                 acc_bound += pi_bound * rmax * dt
                 sf_right = accrual_right_point(mean, tolerance)
-                sf_weights = stats.poisson(mean).sf(np.arange(sf_right + 1))
+                sf_weights = poisson_survival(mean, sf_right)
                 acc_bound += (rmax / rate) * poisson_excess_mean(
                     mean, sf_right + 1
                 )

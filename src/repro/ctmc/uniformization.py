@@ -12,7 +12,8 @@ Poisson weights stably and picks truncation points so the neglected mass
 is below a requested tolerance.
 
 This module holds the Poisson helpers (:func:`fox_glynn_weights`,
-:func:`accrual_right_point`, :func:`poisson_excess_mean`), the
+:func:`accrual_right_point`, :func:`poisson_excess_mean`,
+:func:`poisson_survival`), the
 bounded-truncation guard and :func:`uniformize`.  The one Jensen walk
 that sums the series lives in :mod:`repro.ctmc.streaming`; every
 ``method="uniformization"`` solve runs it.  This is the transient engine
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import stats
 
 from repro.ctmc import config
 from repro.ctmc.errors import CTMCError
@@ -93,6 +93,24 @@ class PoissonWindow:
         return max(0.0, 1.0 - self.total_mass)
 
 
+def _poisson(mean: float):
+    """Frozen ``scipy.stats.poisson(mean)``.
+
+    The one place the solvers touch :mod:`scipy.stats`.  It is imported
+    here, on the first uniformization solve, because importing it costs
+    about as much as the rest of the CLI's start-up and no other solve
+    path needs it.
+    """
+    from scipy import stats
+
+    return stats.poisson(mean)
+
+
+def poisson_survival(mean: float, right: int) -> np.ndarray:
+    """``P(N > k)`` for ``N ~ Poisson(mean)`` and ``k = 0, ..., right``."""
+    return _poisson(mean).sf(np.arange(right + 1))
+
+
 def poisson_excess_mean(mean: float, m: int) -> float:
     """``E[(N - m)^+]`` for ``N ~ Poisson(mean)``, in closed form.
 
@@ -109,7 +127,7 @@ def poisson_excess_mean(mean: float, m: int) -> float:
     """
     if m <= 0:
         return float(mean)
-    dist = stats.poisson(mean)
+    dist = _poisson(mean)
     return float(max(0.0, mean * dist.sf(m - 1) - m * dist.sf(m)))
 
 
@@ -126,7 +144,7 @@ def accrual_right_point(mean: float, tolerance: float) -> int:
     accrued tail for long horizons.
     """
     tolerance = max(tolerance, 1e-15)
-    dist = stats.poisson(mean)
+    dist = _poisson(mean)
     right = int(dist.ppf(1.0 - tolerance))
     target = tolerance * max(mean, 1.0)
     while poisson_excess_mean(mean, right + 1) > target:
@@ -158,7 +176,7 @@ def fox_glynn_weights(mean: float, tolerance: float = 1e-12) -> PoissonWindow:
     if mean == 0.0:
         return PoissonWindow(left=0, right=0, weights=np.array([1.0]), mean=0.0)
 
-    dist = stats.poisson(mean)
+    dist = _poisson(mean)
     # Quantile-based truncation: captured mass outside [left, right] is
     # below tolerance by construction of the inverse CDF.
     left = int(dist.ppf(tolerance / 2.0))

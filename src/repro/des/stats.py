@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -151,6 +150,8 @@ def replication_interval(
     mean = float(arr.mean())
     if n == 1:
         return ConfidenceInterval(mean, float("inf"), confidence, 1)
+    from scipy import stats as sps
+
     sem = float(arr.std(ddof=1) / math.sqrt(n))
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return ConfidenceInterval(mean, t_crit * sem, confidence, n)

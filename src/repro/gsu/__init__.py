@@ -16,7 +16,10 @@ Reproduces the paper's analysis end-to-end:
   facility, solved on the exact count-vector quotient.
 * :mod:`~repro.gsu.analytic` — closed-form cross-checks (a reference
   the tests compare ``Y`` against, not a solve path).
-* :mod:`~repro.gsu.validation` — protocol-simulation cross-validation.
+* :mod:`~repro.gsu.validation` and :mod:`~repro.gsu.hybrid` —
+  protocol-simulation cross-validation and hybrid evaluation.  They run
+  the discrete-event MDCD simulation (:mod:`repro.mdcd`, :mod:`repro.des`),
+  so the package does not import them: import them by module path.
 """
 
 from repro.gsu.parameters import PAPER_TABLE3, GSUParameters
@@ -28,21 +31,15 @@ from repro.gsu.performability import (
     evaluate_index,
 )
 from repro.gsu.optimizer import OptimalDuration, find_optimal_phi
-from repro.gsu.hybrid import HybridEvaluation, hybrid_evaluate
-from repro.gsu.validation import ValidationReport, validate_constituents
 
 __all__ = [
     "PAPER_TABLE3",
     "ConstituentSolver",
     "GSUParameters",
-    "HybridEvaluation",
     "OptimalDuration",
     "PerformabilityEvaluation",
-    "ValidationReport",
     "build_translation_pipeline",
     "evaluate_batch",
     "evaluate_index",
     "find_optimal_phi",
-    "hybrid_evaluate",
-    "validate_constituents",
 ]

@@ -135,9 +135,7 @@ def write_run_artifacts(
                 "curve": outcome.task.curve_index,
                 "label": outcome.task.label,
                 "phi": outcome.task.phi,
-                "key": outcome.task.cache_key(cache.schema_version)
-                if cache is not None
-                else outcome.task.cache_key(),
+                "key": outcome.key or outcome.task.cache_key(),
                 "y": outcome.record["value"],
                 "seconds": outcome.seconds,
                 "cached": outcome.cached,

@@ -28,7 +28,9 @@ that is not a database at all is moved aside with a warning and a new
 one is started — a damaged cache can cost time, never correctness.  A
 batch of writes is one transaction, so a crashed run or a failed write
 leaves no half-written entry behind.  Every (process, thread) opens its
-own connection; a forked worker never touches its parent's.
+own connection; a forked worker never touches its parent's.  A store
+that cannot be opened at all (a directory that cannot be written, a path
+that is a file) raises :class:`CacheOpenError`.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ _CODES_BY_MESSAGE = {
 
 #: Result codes meaning the store file itself is damaged.
 _DAMAGED_CODES = frozenset({_SQLITE_CORRUPT, _SQLITE_NOTADB})
+
+
+class CacheOpenError(OSError):
+    """The store of a cache directory cannot be opened or created."""
 
 
 @dataclass
@@ -277,15 +283,19 @@ class ResultCache:
             return entry[0]
         if not create and not self.path.exists():
             return None
-        self.root.mkdir(parents=True, exist_ok=True)
-        # check_same_thread is off so the finalizer may close it from
-        # another thread; each connection is used only by its own thread.
-        connection = sqlite3.connect(
-            self.path,
-            timeout=BUSY_TIMEOUT_S,
-            isolation_level=None,
-            check_same_thread=False,
-        )
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            # check_same_thread is off so the finalizer may close it from
+            # another thread; each connection is used only by its own
+            # thread.
+            connection = sqlite3.connect(
+                self.path,
+                timeout=BUSY_TIMEOUT_S,
+                isolation_level=None,
+                check_same_thread=False,
+            )
+        except (OSError, sqlite3.OperationalError) as exc:
+            raise self._open_error(exc) from exc
         try:
             _enable_wal(connection)
             # WAL + NORMAL: a commit survives a crash of the program (not
@@ -300,12 +310,21 @@ class ResultCache:
                     "(key TEXT PRIMARY KEY, body TEXT NOT NULL)"
                 )
             inode = os.stat(self.path).st_ino
+        except sqlite3.OperationalError as exc:
+            # Damage raises plain DatabaseError and is recovered by the
+            # caller; an operational failure here (read-only, locked past
+            # the timeout) leaves no usable store.
+            connection.close()
+            raise self._open_error(exc) from exc
         except BaseException:
             connection.close()
             raise
         with self._lock:
             self._connections[ident] = (connection, inode)
         return connection
+
+    def _open_error(self, exc: Exception) -> CacheOpenError:
+        return CacheOpenError(f"cannot open result cache {self.root}: {exc}")
 
     def _recovering(self, operation, *args):
         """``operation(*args)``, retried once on a fresh store when the

@@ -81,12 +81,17 @@ class TaskOutcome:
         chunk's batched solve, 0.0 when served from cache.
     cached:
         Whether the record came from the result cache.
+    key:
+        The task's content address under the cache's schema, as the
+        dispatch hashed it to probe the cache; ``None`` when the run had
+        no cache.
     """
 
     task: EvaluationTask | VerificationTask
     record: dict
     seconds: float
     cached: bool
+    key: str | None
 
 
 def _dispatch(
@@ -120,11 +125,15 @@ def _dispatch(
         keys = [cache.key_for(task) for task in tasks]
         found = cache.get_many(keys)
     else:
-        found = [None] * len(tasks)
+        keys = found = [None] * len(tasks)
     for position, (task, record) in enumerate(zip(tasks, found)):
         if record is not None:
             outcomes[position] = TaskOutcome(
-                task=task, record=record, seconds=0.0, cached=True
+                task=task,
+                record=record,
+                seconds=0.0,
+                cached=True,
+                key=keys[position],
             )
         else:
             pending.append((position, task))
@@ -138,7 +147,11 @@ def _dispatch(
             )
         for (position, task), (record, seconds) in zip(chunk, results):
             outcomes[position] = TaskOutcome(
-                task=task, record=record, seconds=seconds, cached=False
+                task=task,
+                record=record,
+                seconds=seconds,
+                cached=False,
+                key=keys[position],
             )
 
     if backend == "serial" or jobs == 1 or len(chunks) <= 1:

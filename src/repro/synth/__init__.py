@@ -7,6 +7,10 @@ on ``Y`` over a lever box, optionally constrained by a steady-state
 overhead budget, with distribution-level measures (quantiles and
 exceedance probabilities of accumulated reward) computed analytically
 and validated against trajectory simulation.
+
+The package does not import :mod:`repro.synth.validate`: that check runs
+the simulation column (:mod:`repro.verify`), which a synthesis without
+``--validate`` never needs.  Import it by module path.
 """
 
 from repro.synth.distribution import (
@@ -30,13 +34,6 @@ from repro.synth.objective import (
     overhead_from_constituents,
 )
 from repro.synth.optimizer import SynthesisConfig, compute_step, starting_points
-from repro.synth.validate import (
-    DISTRIBUTION_MEASURES,
-    DistributionReport,
-    DistributionVerdict,
-    distribution_conformance,
-    synthesis_conformance,
-)
 
 __all__ = [
     "AccumulatedRewardDistribution",
@@ -57,9 +54,4 @@ __all__ = [
     "SynthesisConfig",
     "compute_step",
     "starting_points",
-    "DISTRIBUTION_MEASURES",
-    "DistributionReport",
-    "DistributionVerdict",
-    "distribution_conformance",
-    "synthesis_conformance",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.gsu.measures import (
     RS_INT_TAU_H,
@@ -172,6 +171,8 @@ def distribution_conformance(
     family_size = family if family is not None else count_checks
     alpha = 1.0 - sidak_confidence(confidence, family_size)
     atol = 1e-9 * max(dist.maximum, 1.0)
+
+    from scipy.stats import binom
 
     verdicts = []
     for q in quantiles:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.des.rng import RandomStreams
 from repro.des.stats import ConfidenceInterval
@@ -82,6 +81,8 @@ class MomentSummary:
             raise ValueError("empty summary")
         if self.count == 1:
             return ConfidenceInterval(self.mean, float("inf"), confidence, 1)
+        from scipy import stats as sps
+
         sem = math.sqrt(self.m2 / (self.count - 1) / self.count)
         t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=self.count - 1))
         return ConfidenceInterval(self.mean, t_crit * sem, confidence, self.count)

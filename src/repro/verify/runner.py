@@ -249,9 +249,7 @@ def write_verify_artifacts(
                 "block": outcome.task.block,
                 "replications": outcome.task.replications,
                 "seed": outcome.task.seed,
-                "key": outcome.task.cache_key(cache.schema_version)
-                if cache is not None
-                else outcome.task.cache_key(),
+                "key": outcome.key or outcome.task.cache_key(),
                 "seconds": outcome.seconds,
                 "cached": outcome.cached,
             }

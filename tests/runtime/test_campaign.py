@@ -16,6 +16,11 @@ from repro.runtime.campaign import (
     use_config,
 )
 from repro.runtime.spec import CampaignSpec, CurveSpec, figure_campaign
+from repro.runtime.tasks import (
+    CACHE_KEY_SCHEMA_VERSION,
+    EvaluationTask,
+    plan_campaign,
+)
 
 
 def tiny_spec():
@@ -118,6 +123,29 @@ class TestArtifacts:
 
         results = json.loads(result.artifacts.results_path.read_text())
         assert results["curves"][0]["values"] == result.sweeps[0].values
+
+    def test_manifest_keys_are_the_dispatch_keys(self, tmp_path, monkeypatch):
+        """Each task's content address is hashed once per run; the
+        manifest reads the key the cache probe used."""
+        calls = []
+        cache_key = EvaluationTask.cache_key
+
+        def counting(task, *args, **kwargs):
+            calls.append(task.index)
+            return cache_key(task, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationTask, "cache_key", counting)
+        spec = figure_campaign("FIG9", step=2500)
+        result = run_campaign(
+            spec, cache_dir=tmp_path / "cache", artifacts_dir=tmp_path / "runs"
+        )
+        tasks = plan_campaign(spec)
+        assert sorted(calls) == sorted(task.index for task in tasks)
+        monkeypatch.undo()
+        manifest = json.loads(result.artifacts.manifest_path.read_text())
+        assert [entry["key"] for entry in manifest["tasks"]] == [
+            task.cache_key(CACHE_KEY_SCHEMA_VERSION) for task in tasks
+        ]
 
     def test_manifest_marks_cached_tasks(self, tmp_path):
         kwargs = dict(

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import cache as cache_module
 from repro.runtime.spec import default_grid
 
 
@@ -105,6 +107,27 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "6 points (0 solved)" in out
         assert "hit rate 100%" in out
+
+    @pytest.mark.parametrize("fault", ["connect", "file"])
+    def test_unopenable_cache_errors_cleanly(
+        self, capsys, tmp_path, monkeypatch, fault
+    ):
+        """A store that cannot be opened is one ``error:`` line and exit
+        2, not a traceback; the faults work whatever the user's rights."""
+        cache_dir = tmp_path / "cache"
+        if fault == "connect":
+            def refuse(*args, **kwargs):
+                raise sqlite3.OperationalError("unable to open database file")
+
+            monkeypatch.setattr(cache_module.sqlite3, "connect", refuse)
+        else:
+            cache_dir.write_text("a file where the directory should be")
+        argv = ["campaign", "FIG9", "--step", "10000", "--no-chart",
+                "--cache-dir", str(cache_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot open result cache {cache_dir}: ")
 
     def test_bad_spec_file_errors_cleanly(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
