@@ -40,7 +40,8 @@ verify-smoke:
 # End-to-end smoke test of the campaign runtime: a tiny two-point-per-curve
 # campaign through the process backend, cached into a temp dir; the warm
 # rerun, on the thread backend against the store the process run wrote,
-# must be served entirely from the cache, and the cache directory must
+# must be served entirely from the cache and write nothing to stderr
+# (``grep -q`` may close the pipe early), and the cache directory must
 # hold the one store, no per-entry ``??/*.json`` files.
 campaign-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -49,8 +50,9 @@ campaign-smoke:
 		--cache-dir "$$tmp/cache" --run-dir "$$tmp/runs" >/dev/null && \
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro campaign FIG9 --step 10000 \
 		--backend thread --jobs 2 --no-chart \
-		--cache-dir "$$tmp/cache" --run-dir "$$tmp/runs" \
+		--cache-dir "$$tmp/cache" --run-dir "$$tmp/runs" 2>"$$tmp/warm.err" \
 		| grep -q "hit rate 100%" && \
+	{ test ! -s "$$tmp/warm.err" || { cat "$$tmp/warm.err" >&2; false; }; } && \
 	test -s "$$tmp/cache/results.sqlite3" && \
 	test -z "$$(find "$$tmp/cache" -path '*/??/*.json')" && \
 	echo "campaign-smoke: OK (warm rerun fully cached)"

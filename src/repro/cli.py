@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -1210,13 +1211,23 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the exit status (2 for bad input or an
-    unopenable result cache)."""
+    unopenable result cache, 1 when standard output closed early)."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
     except (query.QueryError, CacheOpenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of standard output went away (``| head -1``).  The
+        # interpreter flushes stdout once more at exit, so point it at
+        # the null device first; otherwise that flush reports the pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ from repro.ctmc.transient import (
     _expm_rows,
     _krylov_step,
     _renormalise,
+    _renormalise_rows,
 )
 from repro.ctmc.uniformization import _validate_time_grid
 
@@ -209,8 +210,8 @@ def _augmented_expm_grid(
     state[:n] = chain.initial_distribution
     result = _expm_rows(a, state, unique)
     rows = result[:, :n].copy()
-    for k in np.flatnonzero(unique > 0.0):
-        rows[k] = _renormalise(rows[k])
+    positive = unique > 0.0
+    rows[positive] = _renormalise_rows(rows[positive])
     return rows, result[:, n].copy()
 
 

@@ -157,11 +157,10 @@ def _spectral_rows(chain: CTMC, unique: np.ndarray) -> np.ndarray | None:
     pi0 = chain.initial_distribution
     coeff = pi0.astype(complex) @ v
     out = np.empty((unique.size, n))
-    for k, t in enumerate(unique):
-        if t == 0.0:
-            out[k] = pi0
-            continue
-        out[k] = _renormalise(np.real((coeff * np.exp(w * float(t))) @ vinv))
+    out[unique == 0.0] = pi0
+    positive = np.flatnonzero(unique > 0.0)
+    terms = coeff * np.exp(unique[positive][:, None] * w)
+    out[positive] = _renormalise_rows(np.real(_stacked_rows(terms, vinv)))
     return out
 
 
@@ -224,8 +223,8 @@ def _dense_expm_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
     rows = _expm_rows(
         chain.generator.toarray(), chain.initial_distribution, unique
     )
-    for k in np.flatnonzero(unique > 0.0):
-        rows[k] = _renormalise(rows[k])
+    positive = unique > 0.0
+    rows[positive] = _renormalise_rows(rows[positive])
     return rows
 
 
@@ -259,7 +258,8 @@ def _expm_rows(
 
     A row's products, their order and every ``P_j`` depend only on
     ``a``, ``state`` and its own ``t``, and each row is multiplied on
-    its own, so a row is bitwise the same in any grid.
+    its own (:func:`_stacked_rows`), so a row is bitwise the same in
+    any grid.
     """
     s = _squaring_exponent(a)
     h = math.ldexp(1.0, -s)
@@ -273,9 +273,8 @@ def _expm_rows(
     if bits:
         power = dense_expm(a * h)
     for j in range(bits):
-        for k, count in enumerate(counts):
-            if count >> j & 1:
-                rows[k] = rows[k] @ power
+        selected = [k for k, count in enumerate(counts) if count >> j & 1]
+        rows[selected] = _stacked_rows(rows[selected], power)
         if j + 1 < bits:
             power = power @ power
     for k, rem in enumerate(rems):
@@ -353,6 +352,18 @@ def _krylov_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stacked_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows[k] @ matrix`` for every row ``k``, in one numpy call.
+
+    The rows go in as a stack of ``1 x n`` matrices, and matmul hands
+    each one to the same BLAS vector-matrix product as a lone 1-D
+    ``row @ matrix``, so every row is bitwise what it would be on its
+    own.  A plain 2-D ``rows @ matrix`` is one matrix-matrix product,
+    whose blocking can change the last bit with the number of rows.
+    """
+    return (rows[:, None, :] @ matrix)[:, 0, :]
+
+
 def _renormalise(row: np.ndarray) -> np.ndarray:
     """Clip tiny negatives and renormalise a probability row."""
     row = np.clip(row, 0.0, None)
@@ -360,6 +371,20 @@ def _renormalise(row: np.ndarray) -> np.ndarray:
     if total > 0:
         row = row / total
     return row
+
+
+def _renormalise_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`_renormalise` applied to every row of a 2-D block.
+
+    Each row sum is the same pairwise sum over one contiguous row that
+    ``row.sum()`` computes, so every row is bitwise what
+    :func:`_renormalise` gives it.
+    """
+    rows = np.clip(rows, 0.0, None)
+    totals = rows.sum(axis=1)
+    positive = totals > 0
+    rows[positive] /= totals[positive, None]
+    return rows
 
 
 def instant_of_time_reward(

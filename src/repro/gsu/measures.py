@@ -37,6 +37,7 @@ from repro.san.rewards import (
     instant_of_time_many,
     interval_of_time,
     steady_state,
+    steady_state_many,
 )
 
 # ----------------------------------------------------------------------
@@ -295,7 +296,8 @@ class ConstituentSolver:
         economy over calling the scalar measures point by point:
 
         * ``rho1``, ``rho2`` and ``p_nd_theta`` are phi-independent and
-          solved exactly once instead of once per point;
+          solved exactly once instead of once per point, ``rho1`` and
+          ``rho2`` from one shared RMGp steady-state solve;
         * the three RMGd instant measures (``int_h``, ``int_hf``,
           ``p_gd_phi_a1``) share a *single* transient grid solve —
           one pass over the phi grid instead of three;
@@ -312,9 +314,13 @@ class ConstituentSolver:
             return []
         theta = self.params.theta
 
-        # Phi-independent measures: Table 2 steady states, solved once.
-        rho1 = self.rho1()
-        rho2 = self.rho2()
+        # Phi-independent measures: Table 2 steady states, both from one
+        # stationary distribution of RMGp.
+        overhead1, overhead2 = steady_state_many(
+            self.rm_gp, (RS_OVERHEAD_1, RS_OVERHEAD_2)
+        )
+        rho1 = 1.0 - overhead1
+        rho2 = 1.0 - overhead2
 
         # Table 1 (RMGd): one fused grid pass serves all three instant
         # measures and the accumulated measure together.

@@ -201,6 +201,12 @@ class ResultCache:
             self._recovering(self._insert, rows)
             self.stats.writes += len(rows)
 
+    def open(self) -> None:
+        """Open this thread's connection now, creating the store if it
+        does not exist; raises :class:`CacheOpenError` when ``root``
+        cannot hold one (a file, a read-only directory)."""
+        self._recovering(self._connection, True)
+
     def close(self) -> None:
         """Close this process's connections (reopened on next use); call
         it only while no other thread is using the cache."""

@@ -9,7 +9,8 @@ Three backends behind one interface:
     GIL, so threads overlap the numerical kernels.
 ``process``
     ``ProcessPoolExecutor`` — full CPU parallelism; tasks and records
-    are plain picklable data by construction.
+    are plain picklable data by construction.  One warm pool serves
+    every dispatch of the process (see below).
 
 Every entry point hands its tasks to one dispatcher, :func:`_dispatch`,
 which probes the cache for all of them in one batched read and cuts the
@@ -23,17 +24,33 @@ campaign chunk is solved one way, by :func:`_solve_points`: one
 block or a surrogate fit node is one chunk.  The parent writes each
 chunk's cache entries, in one transaction, as soon as the chunk
 completes, while the pool computes the rest, and the first failing
-chunk cancels every chunk not yet started.  Results are reassembled
-strictly in the order the tasks were submitted — backend choice,
-chunking, completion order, and worker count never change the output,
-only the wall clock.
+chunk cancels every chunk of its dispatch not yet started.  Results are
+reassembled strictly in the order the tasks were submitted — backend
+choice, chunking, completion order, and worker count never change the
+output, only the wall clock.
+
+The process pool is made by the first ``process`` dispatch with more
+than one chunk and kept in one module-level slot.  It is reused while
+the process id, ``jobs``, the ``ProcessPoolExecutor`` class bound here
+and the ``REPRO_*`` environment stay the same; when one changes, the
+old pool is shut down and waited for and a new one is forked.  A
+failing chunk leaves it warm; a broken pool or an interrupt discards
+it.  It ends with the interpreter (``concurrent.futures`` joins it at
+exit) or with :func:`shutdown_pool`, and each worker ends itself when
+its parent dies (:func:`_watch_parent`).  There is no knob for it; the
+``thread`` backend makes a thread pool per dispatch.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -158,26 +175,175 @@ def _dispatch(
         for chunk in chunks:
             worker, *args = call(chunk)
             finish(chunk, worker(*args))
+    elif backend == "thread":
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            _collect(
+                _submit(pool, chunks, call),
+                finish,
+                lambda _futures: pool.shutdown(cancel_futures=True),
+            )
     else:
-        pool_class = (
-            ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-        )
-        with pool_class(max_workers=jobs) as pool:
-            futures = {}
-            for chunk in chunks:
-                worker, *args = call(chunk)
-                futures[pool.submit(worker, *args)] = chunk
+        with _pool_lock:
+            pool = _warm_pool(jobs)
             try:
-                for future in as_completed(futures):
-                    finish(futures.pop(future), future.result())
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                for future, chunk in futures.items():
-                    if not future.cancelled() and future.exception() is None:
-                        finish(chunk, future.result())
-                raise
+                futures = _submit(pool, chunks, call)
+            except BrokenProcessPool:
+                # A worker died, most likely while the pool sat idle.  No
+                # chunk of this dispatch has been finished yet, so it
+                # starts over on a new pool.
+                _discard_pool(pool)
+                pool = _warm_pool(jobs)
+                futures = _submit(pool, chunks, call)
+        try:
+            _collect(futures, finish, _cancel_unstarted)
+        except BaseException as error:
+            if isinstance(error, BrokenProcessPool) or not isinstance(
+                error, Exception
+            ):
+                with _pool_lock:
+                    _discard_pool(pool)
+            raise
 
     return [outcomes[position] for position in range(len(tasks))]
+
+
+def _submit(pool, chunks: list[list], call: Callable[[list], tuple]) -> dict:
+    """Submit every chunk to ``pool``; ``{future: chunk}``."""
+    futures = {}
+    for chunk in chunks:
+        worker, *args = call(chunk)
+        futures[pool.submit(worker, *args)] = chunk
+    return futures
+
+
+def _collect(futures: dict, finish: Callable, cancel: Callable[[dict], None]) -> None:
+    """Finish each chunk as it completes.
+
+    When a chunk raises, ``cancel(futures)`` stops the chunks not yet
+    started, the chunks still running are awaited and finished, and the
+    exception propagates.
+    """
+    try:
+        for future in as_completed(futures):
+            finish(futures.pop(future), future.result())
+    except BaseException:
+        cancel(futures)
+        for future, chunk in futures.items():
+            if not future.cancelled() and future.exception() is None:
+                finish(chunk, future.result())
+        raise
+
+
+def _cancel_unstarted(futures: dict) -> None:
+    """Cancel this dispatch's chunks that no worker has started; the
+    warm pool and any other dispatch's chunks are left alone."""
+    for future in futures:
+        future.cancel()
+
+
+# ----------------------------------------------------------------------
+# The warm process pool
+# ----------------------------------------------------------------------
+#: Seconds between a worker's checks that its parent is still alive.
+PARENT_POLL_S = 0.5
+
+
+def _watch_parent(parent: int) -> None:
+    """End this worker as soon as its parent is gone.
+
+    An idle pool worker blocks reading a pipe whose write end it holds
+    itself, so it would never see its parent die; once the parent is
+    gone the worker is re-parented and ``os.getppid()`` changes.
+    """
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
+class _ParentWatchedProcess(multiprocessing.Process):
+    """A pool worker that starts :func:`_watch_parent` on a daemon thread
+    before it takes its first chunk, so even a worker that never gets a
+    chunk ends with its parent."""
+
+    def run(self):
+        threading.Thread(
+            target=_watch_parent,
+            args=(os.getppid(),),
+            name="repro-parent-watch",
+            daemon=True,
+        ).start()
+        super().run()
+
+
+def _worker_context():
+    """The default start method, with parent-watched workers."""
+    context = copy.copy(multiprocessing.get_context())
+    context.Process = _ParentWatchedProcess
+    return context
+
+
+_pool: ProcessPoolExecutor | None = None
+_pool_key: tuple | None = None
+_pool_lock = threading.Lock()
+
+
+def _reset_pool_lock() -> None:
+    # A child forked while some thread held the lock (pool workers are
+    # forked during a submit under it) would otherwise inherit it held.
+    global _pool_lock
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_pool_lock)
+
+
+def _warm_pool(jobs: int) -> ProcessPoolExecutor:
+    """The process pool for ``jobs`` workers; call with ``_pool_lock`` held.
+
+    The pool in the slot is reused while this process id, ``jobs``, the
+    ``ProcessPoolExecutor`` class bound in this module (looked up now,
+    so a substituted class takes effect) and the ``REPRO_*`` environment
+    all match what it was made with.  Otherwise the old pool is shut
+    down and waited for, and a new one is made in its place; a forked
+    child drops its parent's pool untouched.
+    """
+    global _pool, _pool_key
+    key = (
+        os.getpid(),
+        jobs,
+        ProcessPoolExecutor,
+        sorted(item for item in os.environ.items() if item[0].startswith("REPRO_")),
+    )
+    if _pool is not None and _pool_key == key:
+        return _pool
+    if _pool is not None and _pool_key[0] == key[0]:
+        _pool.shutdown(wait=True)
+    _pool = _pool_key = None
+    _pool = ProcessPoolExecutor(max_workers=jobs, mp_context=_worker_context())
+    _pool_key = key
+    return _pool
+
+
+def _discard_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down and empty the slot if it still holds it, so the
+    next process dispatch makes a new pool; call with ``_pool_lock``
+    held."""
+    global _pool, _pool_key
+    if _pool is pool:
+        _pool = _pool_key = None
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+def shutdown_pool() -> None:
+    """Shut the warm pool down and wait for its workers to exit.
+
+    Nothing needs to call this: at interpreter exit
+    :mod:`concurrent.futures` shuts every pool down the same way.  Tests
+    call it to start each test without workers forked for another.
+    """
+    with _pool_lock:
+        if _pool is not None and _pool_key[0] == os.getpid():
+            _discard_pool(_pool)
 
 
 def _solve_points(

@@ -11,7 +11,8 @@ Reward *variables* pair a structure with a solution type:
 * expected accumulated (interval-of-time) reward over ``[0, t]``
   (:func:`interval_of_time`),
 * expected time-averaged interval reward (:func:`time_averaged`),
-* expected instant-of-time reward at steady state (:func:`steady_state`).
+* expected instant-of-time reward at steady state (:func:`steady_state`,
+  and :func:`steady_state_many` for several structures of one chain).
 
 The grid forms solve a whole time grid at once:
 :func:`instant_of_time_many`, and :func:`instant_and_interval_many`
@@ -133,16 +134,17 @@ class RewardStructure:
 # Reward-variable solutions
 # ----------------------------------------------------------------------
 def _rowwise_dot(pi: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Dot each distribution row with a rate vector, one row at a time.
+    """Dot each distribution row with a rate vector, row by row.
 
     A single ``pi @ rates`` matrix-vector product lets BLAS pick a
     reduction order that varies with the matrix shape, so the value at a
     given time could differ in the last ulp depending on how many grid
-    points ride along.  Row-wise 1-D dots reproduce exactly what the
-    scalar solutions compute, making grid results independent of the
-    grid they were batched with.
+    points ride along.  Stacking the rows as ``1 x n`` matrices makes
+    matmul take each row's dot product on its own, the same 1-D dot the
+    scalar solutions compute, so grid results do not depend on the grid
+    they were batched with.
     """
-    return np.array([float(row @ rates) for row in pi])
+    return (pi[:, None, :] @ rates[:, None])[:, 0, 0]
 
 
 def instant_of_time(
@@ -288,13 +290,26 @@ def steady_state(compiled: CompiledSAN, structure: RewardStructure) -> float:
     ``value * throughput(activity)`` where throughput is the steady-state
     expected completion rate of the activity.
     """
+    return steady_state_many(compiled, (structure,))[0]
+
+
+def steady_state_many(
+    compiled: CompiledSAN, structures: Sequence[RewardStructure]
+) -> list[float]:
+    """:func:`steady_state` of several structures from one solve of the
+    chain's stationary distribution; values aligned with ``structures``."""
     pi = steady_state_distribution(compiled.chain)
-    total = 0.0
-    if structure.rate_rewards:
-        total += float(pi @ structure.rate_vector(compiled))
-    for impulse in structure.impulse_rewards:
-        total += impulse.value * activity_throughput(compiled, impulse.activity, pi)
-    return total
+    values = []
+    for structure in structures:
+        total = 0.0
+        if structure.rate_rewards:
+            total += float(pi @ structure.rate_vector(compiled))
+        for impulse in structure.impulse_rewards:
+            total += impulse.value * activity_throughput(
+                compiled, impulse.activity, pi
+            )
+        values.append(total)
+    return values
 
 
 def activity_throughput(

@@ -220,11 +220,12 @@ class PerformabilityService:
     def __init__(self, config: ServeConfig, solve_fn: SolveFn | None = None):
         self.config = config
         self.metrics = ServiceMetrics()
-        disk = (
-            ResultCache(root=Path(config.cache_dir))
-            if config.cache_dir is not None
-            else None
-        )
+        disk = None
+        if config.cache_dir is not None:
+            disk = ResultCache(root=Path(config.cache_dir))
+            # An unusable cache directory stops the service here, before
+            # it listens, rather than failing every later batch's write.
+            disk.open()
         self.cache = TieredResultCache(
             MemoryLRUCache(max_entries=config.memory_cache), disk
         )

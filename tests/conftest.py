@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import sys
 from contextlib import closing
 
 import numpy as np
@@ -26,6 +27,20 @@ from repro.san.activities import Case, TimedActivity
 from repro.san.gates import InputGate
 from repro.san.model import SANModel
 from repro.san.places import Place
+
+
+@pytest.fixture(autouse=True)
+def _no_warm_pool_across_tests():
+    """Shut the executor's warm process pool down after every test.
+
+    A pool forked in one test would carry that test's monkeypatches and
+    environment into the next, and workers that exit before the session
+    ends let coverage tools collect their data.
+    """
+    yield
+    executor = sys.modules.get("repro.runtime.executor")
+    if executor is not None:
+        executor.shutdown_pool()
 
 
 @pytest.fixture

@@ -1,13 +1,29 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.runtime import cache as cache_module
 from repro.runtime.spec import default_grid
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+
+def _cli(*argv: str, **kwargs) -> subprocess.Popen:
+    """``python -m repro *argv`` in a fresh interpreter."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        **kwargs,
+    )
 
 
 class TestParser:
@@ -422,6 +438,48 @@ class TestServeCli:
                 ["serve", "--cache-dir", str(tmp_path / "a" / "b" / "c")]
             )
         assert "does not exist" in capsys.readouterr().err
+
+    def test_unopenable_cache_exits_2_before_listening(self, tmp_path):
+        """A regular file as the cache directory stops the server at
+        start, as every other verb does, instead of failing each write
+        (a file fails for root too, unlike a read-only directory)."""
+        cache_dir = tmp_path / "cache"
+        cache_dir.write_text("a file where the directory should be")
+        proc = _cli(
+            "serve", "--port", "0", "--cache-dir", str(cache_dir),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2
+        assert err.startswith(f"error: cannot open result cache {cache_dir}: ")
+        assert len(err.splitlines()) == 1
+        assert "listening" not in out
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_ends_without_a_traceback(self):
+        """``repro sweep --step 5 | head -1``: nothing on stderr, a
+        non-zero exit.  The sweep prints about 110 KB, more than the pipe
+        and the reader's buffer hold, so the CLI is still writing when
+        the reader goes."""
+        proc = _cli(
+            "sweep", "--step", "5",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            status = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first.startswith(b"Y(phi)")
+        assert err == b""
+        assert status != 0
 
 
 class TestFleetCli:
