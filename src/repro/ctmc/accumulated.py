@@ -15,10 +15,13 @@ pass; :func:`accumulated_grid` returns its second half and the scalar
 * ``"augmented-expm"`` — the augmented-generator trick: with
   ``A = [[Q, r], [0, 0]]`` the last component of ``[pi(0), 0] expm(A t)``
   is exactly ``int_0^t pi(u) r du``.  The exponentials come from one
-  chain of squarings of ``A`` shared across the grid, as for
-  ``dense-expm`` (:func:`repro.ctmc.transient._expm_rows`), so the
-  cost barely depends on stiffness — required for the paper's 1e4-hour
-  horizons.
+  Padé exponential and one chain of squarings of ``A`` shared across
+  the grid, as for ``dense-expm``
+  (:func:`repro.ctmc.transient._expm_rows`); a time off the squaring
+  step adds a truncated Taylor remainder, ``O(n^2)`` per degree, not a
+  Padé of its own.  So the cost barely depends on stiffness or on
+  where the grid's points fall — required for the paper's 1e4-hour
+  horizons and the surrogate's Chebyshev ``phi`` nodes.
 * ``"augmented-krylov"`` — the same augmented-generator trick kept
   sparse: segment-stepped Krylov actions (``expm_multiply``) of the CSR
   augmented matrix.  ``O(nnz)`` memory — the large-chain workhorse

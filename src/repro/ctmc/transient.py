@@ -20,15 +20,17 @@ construction.  Four backends:
   across the grid (:func:`_expm_rows`): one Padé exponential
   ``P_0 = expm(Q h)`` with ``||Q h||_1`` within the Padé-13 bound, then
   one chain of squarings ``P_{j+1} = P_j^2`` for the whole grid.  Each
-  time splits exactly as ``t = k h + rem``; its row multiplies ``pi0``
-  by the powers for the set bits of ``k`` and finishes with one
-  unsquared ``expm(Q rem)``.  Cost is ``O(n^3 log(Lambda t))`` for the
-  chain plus ``O(n^2)`` per point and set bit (and one ``O(n^3)``
-  Padé per non-dyadic point), essentially independent of stiffness,
-  which matters for the paper's models where message rates (1200/h)
-  and fault rates (1e-4/h) differ by seven orders of magnitude over
-  1e4-hour horizons.  Only one power is held at a time.  Limited to
-  ``DENSE_STATE_LIMIT`` states.
+  time splits exactly as ``t = k h + rem``; its row starts from
+  ``pi0 expm(Q rem)``, a truncated Taylor series whose degree the exact
+  1-norm fixes (``pi0`` itself when ``rem = 0``), and is multiplied by
+  the powers for the set bits of ``k``.  Cost is
+  ``O(n^3 log(Lambda t))`` for the chain plus ``O(n^2)`` per point and
+  set bit, and ``O(n^2)`` per Taylor degree for the whole grid, so one
+  Padé per grid whatever its points.  That is essentially independent
+  of stiffness, which matters for the paper's models where message
+  rates (1200/h) and fault rates (1e-4/h) differ by seven orders of
+  magnitude over 1e4-hour horizons.  Only one power is held at a time.
+  Limited to ``DENSE_STATE_LIMIT`` states.
 * ``"krylov"`` — segment-stepped Krylov actions of the matrix
   exponential (``scipy.sparse.linalg.expm_multiply``).  Sparse, the
   backend for chains too large to densify; not stiffness-tolerant: its
@@ -65,6 +67,10 @@ TRANSIENT_METHODS = ("auto", "uniformization", "spectral", "dense-expm", "krylov
 #: Padé-13 scaling bound ``theta_13`` (Higham 2005): ``expm`` of a
 #: matrix whose 1-norm is at most this needs no squaring.
 _PADE13_THETA = 5.37
+
+#: Unit roundoff of a double: the truncation bound of the Taylor
+#: remainder in :func:`_expm_rows`.
+_UNIT_ROUNDOFF = 2.0**-53
 
 #: Smallest normal double.
 _TINY = float(np.finfo(float).tiny)
@@ -228,17 +234,41 @@ def _dense_expm_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _norm1(a: np.ndarray) -> float:
+    """The exact 1-norm ``||a||_1``: the largest absolute column sum."""
+    return float(np.abs(a).sum(axis=0).max(initial=0.0))
+
+
 def _squaring_exponent(a: np.ndarray) -> int:
     """``s = max(0, ceil(log2(||a||_1 / theta_13)))``, computed exactly.
 
     ``A 2**-s`` then lies within the Padé-13 bound, so its exponential
     needs no squaring of its own.  A zero matrix gives ``s = 0``.
     """
-    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    norm = _norm1(a)
     if norm <= _PADE13_THETA:
         return 0
     mantissa, exponent = math.frexp(norm / _PADE13_THETA)
     return exponent if mantissa > 0.5 else exponent - 1
+
+
+def _taylor_degree(nu: float) -> int:
+    """Degree of the truncated Taylor remainder in :func:`_expm_rows`.
+
+    Cut after degree ``m``, ``x sum_k (a r)^k / k!`` drops at most
+    ``||x||_inf sum_{k > m} nu^k / k!`` from each entry, for
+    ``nu = ||a||_1 r``.  Returns the smallest ``m`` whose dropped sum,
+    bounded by the geometric series ``nu^{m+1} / (m+1)! / (1 - nu /
+    (m + 2))``, is at most ``2**-53``.  The sum grows with ``nu``, so
+    the degree for the largest ``r`` serves every smaller one.
+    """
+    term = 1.0
+    m = 0
+    while True:
+        term *= nu / (m + 1)
+        if m + 2 > nu and term <= _UNIT_ROUNDOFF * (1.0 - nu / (m + 2)):
+            return m
+        m += 1
 
 
 def _expm_rows(
@@ -250,16 +280,29 @@ def _expm_rows(
     (Moler & Van Loan, "Nineteen Dubious Ways").  The base step
     ``h = 2**-s`` (:func:`_squaring_exponent`) depends only on ``a``.
     Each time splits exactly as ``t = k h + rem`` with ``0 <= rem < h``
-    (``h`` is a power of two).  The powers ``P_j = expm(a h)**(2**j)``
-    are streamed in ascending ``j``: every row whose ``k`` has bit ``j``
-    set is multiplied by ``P_j``, then ``P_j`` is squared into
-    ``P_{j+1}``, so only one power is held at a time.  A row with
-    ``rem > 0`` finishes with one unsquared ``expm(a rem)``.
+    (``h`` is a power of two), and ``expm(a t) = expm(a rem)
+    expm(a h)**k``.
 
-    A row's products, their order and every ``P_j`` depend only on
-    ``a``, ``state`` and its own ``t``, and each row is multiplied on
-    its own (:func:`_stacked_rows`), so a row is bitwise the same in
-    any grid.
+    A row with ``rem > 0`` starts from ``state @ expm(a rem)``, a
+    truncated Taylor series (Al-Mohy & Higham, 2011) in the shared
+    vectors ``v_j = state (a h)^j``: the row is ``sum_j v_j (rem /
+    h)^j / j!``, one stacked product of its weights with the ``v_j``
+    (:func:`_taylor_rows`).  ``||a rem||_1 < ||a h||_1 <= theta_13``,
+    so the exact 1-norm bounds the series and no norm estimator is
+    needed; the degree (:func:`_taylor_degree`) is the one for
+    ``rem = h`` and so depends only on ``a``.  Other rows start from
+    ``state``.
+
+    The powers ``P_j = expm(a h)**(2**j)`` are then streamed in
+    ascending ``j``: every row whose ``k`` has bit ``j`` set is
+    multiplied by ``P_j``, then ``P_j`` is squared into ``P_{j+1}``,
+    so only one power is held at a time.  ``expm(a h)`` is the grid's
+    one Padé exponential.
+
+    A row's products, their order, every ``P_j``, every ``v_j`` and the
+    Taylor degree depend only on ``a``, ``state`` and its own ``t``, and
+    each row is multiplied on its own (:func:`_stacked_rows`), so a row
+    is bitwise the same in any grid.
     """
     s = _squaring_exponent(a)
     h = math.ldexp(1.0, -s)
@@ -269,18 +312,48 @@ def _expm_rows(
     ]
     rows = np.empty((unique.size, state.size))
     rows[:] = state
+    tail = [k for k, rem in enumerate(rems) if rem > 0.0]
+    if tail:
+        rows[tail] = _taylor_rows(a, h, state, [rems[k] for k in tail])
     bits = max(counts, default=0).bit_length()
     if bits:
         power = dense_expm(a * h)
-    for j in range(bits):
-        selected = [k for k, count in enumerate(counts) if count >> j & 1]
-        rows[selected] = _stacked_rows(rows[selected], power)
+    with_bit: list[list[int]] = [[] for _ in range(bits)]
+    for k, count in enumerate(counts):
+        while count:
+            low = count & -count
+            with_bit[low.bit_length() - 1].append(k)
+            count ^= low
+    for j, selected in enumerate(with_bit):
+        if selected:
+            rows[selected] = _stacked_rows(rows[selected], power)
         if j + 1 < bits:
             power = power @ power
-    for k, rem in enumerate(rems):
-        if rem > 0.0:
-            rows[k] = rows[k] @ dense_expm(a * rem)
     return rows
+
+
+def _taylor_rows(
+    a: np.ndarray, h: float, state: np.ndarray, rems: list[float]
+) -> np.ndarray:
+    """``state @ expm(a rem)`` for each ``0 < rem < h``: the Taylor
+    remainder of :func:`_expm_rows`.
+
+    The vectors ``v_j = state (a h)^j`` are shared by every row, and
+    ``||a h||_1 <= theta_13`` keeps them far from overflow.  Row ``k``
+    weights them by ``(rems[k] / h)^j / j!``, each weight one running
+    product along its own row of the exact ratios ``rems[k] / h``
+    divided by ``j``.
+    """
+    degree = _taylor_degree(_norm1(a) * h)
+    ah = a * h
+    vectors = np.empty((degree + 1, state.size))
+    vectors[0] = state
+    for j in range(1, degree + 1):
+        np.matmul(vectors[j - 1], ah, out=vectors[j])
+    steps = np.empty((len(rems), degree + 1))
+    steps[:, 0] = 1.0
+    steps[:, 1:] = (np.array(rems) / h)[:, None] / np.arange(1, degree + 1)
+    return _stacked_rows(np.cumprod(steps, axis=1), vectors)
 
 
 def _negligible(at: sp.csr_matrix, dt: float) -> bool:

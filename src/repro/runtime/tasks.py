@@ -29,7 +29,11 @@ from repro.runtime.spec import CampaignSpec, params_to_dict
 #: Version 2: matrix-exponential answers moved by about 1e-10 when the
 #: ``dense-expm`` and ``augmented-expm`` backends began sharing one chain
 #: of squarings across each grid.
-CACHE_KEY_SCHEMA_VERSION = 2
+#: Version 3: answers at times that are not a multiple of the shared
+#: squaring step (every non-integer ``phi``, so every surrogate fit node)
+#: moved in their last bits when that remainder became a truncated
+#: Taylor series instead of a Padé exponential per point.
+CACHE_KEY_SCHEMA_VERSION = 3
 
 #: The measure a task evaluates (part of the key payload, so future
 #: measure families cannot collide with ``Y(phi)`` entries).

@@ -15,12 +15,14 @@ nodes, and resumable after interruption for free.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.gsu.parameters import GSUParameters
 from repro.gsu.templates import shared_cache
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import RuntimeConfig, get_config
@@ -28,10 +30,10 @@ from repro.runtime.executor import TaskOutcome, execute_surrogate_tasks
 from repro.runtime.tasks import SurrogateFitTask
 from repro.san.parametric import ParametricError, compile_parametric
 from repro.surrogate.chebyshev import (
+    basis,
     cgl_nodes,
     from_unit,
     holdout_nodes,
-    stacked_eval,
     tensor_fit,
 )
 from repro.surrogate.model import MEASURE_NAMES, SurrogateModel
@@ -91,30 +93,19 @@ def check_fit_inputs(spec: SurrogateSpec, safety: float) -> None:
     """Reject a safety factor below 1 and box axes no model's rate
     expressions reference.
 
-    Compiles the four symbolic templates once (cheap, cached nowhere —
-    this is a fit-time-only check) and verifies every non-phi axis name
-    appears in at least one template's parameter set; a dead axis would
-    silently spend a whole tensor dimension interpolating a constant.
+    Every non-phi axis name must appear in at least one of the four
+    templates' parameter sets (:func:`_referenced_parameters`); a dead
+    axis would silently spend a whole tensor dimension interpolating a
+    constant.
     """
-    from repro.gsu.templates import (
-        _BUILDERS,
-        SymbolicGSUParameters,
-        param_env,
-    )
-
     if safety < 1.0:
         raise ValueError(f"safety factor must be >= 1, got {safety}")
     lever_axes = spec.lever_axes()
     if not lever_axes:
         return
-    referenced: set[str] = set()
-    env = param_env(spec.params)
-    for builder in _BUILDERS.values():
-        try:
-            template = compile_parametric(builder(SymbolicGSUParameters()), env)
-        except ParametricError:  # pragma: no cover - defensive
-            return  # cannot prove deadness; let the fit proceed
-        referenced |= template.parameter_names()
+    referenced = _referenced_parameters(spec.params)
+    if referenced is None:  # pragma: no cover - defensive
+        return  # cannot prove deadness; let the fit proceed
     # theta enters through solve horizons rather than rates, and phi is
     # the evaluation time itself; only lever axes need rate references.
     for axis in lever_axes:
@@ -124,6 +115,33 @@ def check_fit_inputs(spec: SurrogateSpec, safety: float) -> None:
                 f"rate expressions (referenced: {sorted(referenced)}); "
                 "a fit over it would interpolate a constant"
             )
+
+
+@functools.lru_cache(maxsize=32)
+def _referenced_parameters(params: GSUParameters) -> frozenset[str] | None:
+    """Parameter names the four symbolic templates' rates reference at
+    ``params``, or ``None`` when a template cannot be compiled.
+
+    Compiling the templates costs milliseconds and their anchor decides
+    which zero-probability cases are pruned (at ``p_ext = 1`` nothing
+    references ``beta``), so the answer is memoized per parameter set
+    for the life of the process.
+    """
+    from repro.gsu.templates import (
+        _BUILDERS,
+        SymbolicGSUParameters,
+        param_env,
+    )
+
+    referenced: set[str] = set()
+    env = param_env(params)
+    for builder in _BUILDERS.values():
+        try:
+            template = compile_parametric(builder(SymbolicGSUParameters()), env)
+        except ParametricError:  # pragma: no cover - defensive
+            return None
+        referenced |= template.parameter_names()
+    return frozenset(referenced)
 
 
 def _axis_raw_nodes(spec: SurrogateSpec, which: str) -> list[np.ndarray]:
@@ -240,6 +258,84 @@ def _values_tensor(
     return values
 
 
+def _certify(
+    spec: SurrogateSpec,
+    coeffs: np.ndarray,
+    scale_vec: np.ndarray,
+    outcomes: list[TaskOutcome],
+    layout: dict[str, object],
+    fit_nodes: list[np.ndarray],
+) -> tuple[np.ndarray, int, int]:
+    """Worst scaled residual per measure over the certification points,
+    with the holdout and spot point counts.
+
+    The points are the phi holdouts riding in fit tasks, the held-out
+    lever tensor and the random spots.  Each point's value is
+    :func:`stacked_eval`'s, computed in the same order: the lever axes
+    of a task are contracted once for all its points, and each point's
+    phi basis row (one block per phi set) then takes one stacked
+    matrix-vector product, the same BLAS call as ``stacked_eval``'s
+    last step.  So every residual is bitwise the per-point one.
+    """
+    phi_degree = spec.degrees[0]
+
+    def unit_of(axis_index: int, raw: float) -> float:
+        axis = spec.axes[axis_index]
+        return float(
+            2.0 * (raw - axis.lo) / (axis.hi - axis.lo) - 1.0
+        )
+
+    def phi_basis(phis) -> np.ndarray:
+        return np.stack([basis(unit_of(0, phi), phi_degree) for phi in phis])
+
+    def task_worst(lever_units, bases, entries) -> np.ndarray:
+        reduced = coeffs
+        for x in reversed(lever_units):
+            reduced = reduced @ basis(x, reduced.shape[-1] - 1)
+        approx = (reduced @ bases[:, :, None])[:, :, 0]
+        exact = np.array(
+            [[entry[name] for name in MEASURE_NAMES] for entry in entries]
+        )
+        return (np.abs(approx - exact) / scale_vec).max(axis=0)
+
+    def lever_units_at(lever_values) -> tuple[float, ...]:
+        return tuple(
+            unit_of(i + 1, lever_values[axis.name])
+            for i, axis in enumerate(spec.lever_axes())
+        )
+
+    worst = np.zeros(len(MEASURE_NAMES))
+    hold_basis = phi_basis(layout["phi_hold"])
+    n_hold = len(layout["phi_hold"])
+    n_phi = len(layout["phi_fit"])
+
+    for task_index, combo in layout["fit"]:
+        entries = outcomes[task_index].record["constituents"][n_phi:]
+        lever_units = tuple(
+            unit_of(i + 1, fit_nodes[i + 1][combo[i]])
+            for i in range(len(combo))
+        )
+        worst = np.maximum(worst, task_worst(lever_units, hold_basis, entries))
+
+    for task_index, lever_values in layout["holdout"]:
+        entries = outcomes[task_index].record["constituents"][:n_hold]
+        worst = np.maximum(
+            worst, task_worst(lever_units_at(lever_values), hold_basis, entries)
+        )
+    holdout_points = (len(layout["fit"]) + len(layout["holdout"])) * n_hold
+
+    spot_points = 0
+    for task_index, lever_values, phis in layout["spots"]:
+        entries = outcomes[task_index].record["constituents"][: len(phis)]
+        worst = np.maximum(
+            worst,
+            task_worst(lever_units_at(lever_values), phi_basis(phis), entries),
+        )
+        spot_points += len(phis)
+
+    return worst, holdout_points, spot_points
+
+
 def fit_surrogate(
     spec: SurrogateSpec,
     config: RuntimeConfig | None = None,
@@ -284,64 +380,12 @@ def fit_surrogate(
         for m, name in enumerate(MEASURE_NAMES)
     }
 
-    # ------------------------------------------------------------------
     # Certification: worst scaled residual over every exact point that
-    # is not a fit node (phi holdouts riding in fit tasks, the held-out
-    # lever tensor, and the random spots).
-    # ------------------------------------------------------------------
-    worst = np.zeros(len(MEASURE_NAMES))
-    holdout_points = 0
-    spot_points = 0
-
-    def check(unit_coords, exact_entry) -> np.ndarray:
-        approx = stacked_eval(coeffs, unit_coords)
-        exact = np.array([exact_entry[name] for name in MEASURE_NAMES])
-        return np.abs(approx - exact)
-
-    def unit_of(axis_index: int, raw: float) -> float:
-        axis = spec.axes[axis_index]
-        return float(
-            2.0 * (raw - axis.lo) / (axis.hi - axis.lo) - 1.0
-        )
-
+    # is not a fit node.
     scale_vec = np.array([scales[name] for name in MEASURE_NAMES])
-    n_phi = len(layout["phi_fit"])
-
-    for task_index, combo in layout["fit"]:
-        record = outcomes[task_index].record
-        lever_units = tuple(
-            unit_of(i + 1, fit_nodes[i + 1][combo[i]])
-            for i in range(len(combo))
-        )
-        for phi_i, phi in enumerate(layout["phi_hold"]):
-            entry = record["constituents"][n_phi + phi_i]
-            coords = (unit_of(0, phi),) + lever_units
-            worst = np.maximum(worst, check(coords, entry) / scale_vec)
-            holdout_points += 1
-
-    for task_index, lever_values in layout["holdout"]:
-        record = outcomes[task_index].record
-        lever_units = tuple(
-            unit_of(i + 1, lever_values[axis.name])
-            for i, axis in enumerate(spec.lever_axes())
-        )
-        for phi_i, phi in enumerate(layout["phi_hold"]):
-            entry = record["constituents"][phi_i]
-            coords = (unit_of(0, phi),) + lever_units
-            worst = np.maximum(worst, check(coords, entry) / scale_vec)
-            holdout_points += 1
-
-    for task_index, lever_values, phis in layout["spots"]:
-        record = outcomes[task_index].record
-        lever_units = tuple(
-            unit_of(i + 1, lever_values[axis.name])
-            for i, axis in enumerate(spec.lever_axes())
-        )
-        for phi_i, phi in enumerate(phis):
-            entry = record["constituents"][phi_i]
-            coords = (unit_of(0, phi),) + lever_units
-            worst = np.maximum(worst, check(coords, entry) / scale_vec)
-            spot_points += 1
+    worst, holdout_points, spot_points = _certify(
+        spec, coeffs, scale_vec, outcomes, layout, fit_nodes
+    )
 
     residuals = {
         name: float(worst[m]) for m, name in enumerate(MEASURE_NAMES)

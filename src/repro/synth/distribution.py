@@ -68,11 +68,12 @@ def accumulated_moments(
     ordered double integral — so one action of ``exp(A^T t)`` on
     ``[pi0, 0, 0]`` yields ``E[W]`` and ``E[W^2]/2`` as block sums.
 
-    Dispatch follows the ctmc layer's stiffness rule: Krylov
-    ``expm_multiply`` walks ``O(Lambda * t)`` matvecs, so on stiff
-    horizons the dense scaling-and-squaring exponential of the ``3n``
-    augmented generator (cost ``O(n^3 log(Lambda * t))``) takes over
-    while the block fits the dense limit.
+    Whenever the ``3n`` block fits the dense limit, the dense
+    scaling-and-squaring exponential (cost ``O(n^3 log(Lambda * t))``)
+    solves it at every stiffness: it is deterministic, while the Krylov
+    ``expm_multiply`` estimates norms from numpy's global random state,
+    so its answer could move with the state's seed in the last bits.
+    Beyond the dense limit the Krylov action keeps memory sparse.
     """
     r = validate_rewards(rates, chain.num_states)
     if t < 0:
@@ -86,12 +87,7 @@ def accumulated_moments(
         [[q, rdiag, None], [None, q, rdiag], [None, None, q]]
     )
     v0 = np.concatenate([chain.initial_distribution, np.zeros(2 * n)])
-    lim = config.limits()
-    max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-    if (
-        max_exit * t > lim.auto_stiffness_threshold
-        and 3 * n < lim.dense_state_limit
-    ):
+    if 3 * n <= config.limits().dense_state_limit:
         v = dense_expm(a.T.toarray() * float(t)) @ v0
     else:
         v = expm_multiply(a.T.tocsc() * float(t), v0)

@@ -16,11 +16,13 @@ from scipy.linalg import expm as dense_expm
 from repro.ctmc import config
 from repro.ctmc.transient import (
     _expm_rows,
+    _norm1,
     _renormalise,
     _renormalise_rows,
     _spectral_rows,
     _squaring_exponent,
     _stacked_rows,
+    _taylor_degree,
 )
 from repro.gsu.measures import RS_OVERHEAD_1, RS_OVERHEAD_2, ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
@@ -59,13 +61,28 @@ def _rowwise_dot_loop(pi: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return np.array([float(row @ rates) for row in pi])
 
 
+def _taylor_row_loop(a, h, state, rem):
+    """``state @ expm(a rem)`` for one ``0 < rem < h``: the per-row
+    Taylor reference, with its own vectors and plain-float weights."""
+    degree = _taylor_degree(_norm1(a) * h)
+    ah = a * h
+    vectors = [state]
+    for _ in range(degree):
+        vectors.append(vectors[-1] @ ah)
+    weights = [1.0]
+    for j in range(1, degree + 1):
+        weights.append(weights[-1] * ((rem / h) / j))
+    return np.array(weights) @ np.array(vectors)
+
+
 def _expm_rows_loop(a, state, unique):
     s = _squaring_exponent(a)
     h = math.ldexp(1.0, -s)
     rems = [math.fmod(float(t), h) for t in unique]
     counts = [int(math.ldexp(float(t) - rem, s)) for t, rem in zip(unique, rems)]
     rows = np.empty((unique.size, state.size))
-    rows[:] = state
+    for k, rem in enumerate(rems):
+        rows[k] = _taylor_row_loop(a, h, state, rem) if rem > 0.0 else state
     bits = max(counts, default=0).bit_length()
     if bits:
         power = dense_expm(a * h)
@@ -75,9 +92,6 @@ def _expm_rows_loop(a, state, unique):
                 rows[k] = rows[k] @ power
         if j + 1 < bits:
             power = power @ power
-    for k, rem in enumerate(rems):
-        if rem > 0.0:
-            rows[k] = rows[k] @ dense_expm(a * rem)
     return rows
 
 

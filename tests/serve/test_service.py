@@ -211,7 +211,7 @@ class TestOptimal:
         )
         assert payload["refined"] is True
         assert (payload["phi"], payload["y"]) == (direct.phi, direct.y)
-        assert (direct.phi, direct.y) == (6677.239089921646, 1.5373599725077052)
+        assert (direct.phi, direct.y) == (6677.239089921646, 1.537359972507705)
 
     def test_bad_step_is_400(self, server):
         status, _, payload = request_once(

@@ -6,6 +6,8 @@ whole pipeline: task planning, tensor assembly, certification
 bookkeeping, and cache-backed refits.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,16 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.tasks import SurrogateFitTask
 from repro.surrogate import AxisSpec, SurrogateSpec, fit_surrogate, smoke_spec
 from repro.surrogate.artifact import save_surrogate, surrogate_digest
-from repro.surrogate.chebyshev import holdout_nodes
-from repro.surrogate.fitter import BOUND_FLOOR, DEFAULT_SAFETY_FACTOR
+from repro.surrogate.chebyshev import holdout_nodes, stacked_eval, tensor_fit
+from repro.surrogate.fitter import (
+    BOUND_FLOOR,
+    DEFAULT_SAFETY_FACTOR,
+    _axis_raw_nodes,
+    _certify,
+    _plan_tasks,
+    _values_tensor,
+    check_fit_inputs,
+)
 from repro.surrogate.model import MEASURE_NAMES
 
 
@@ -149,3 +159,141 @@ class TestSpecValidation:
                     AxisSpec("phi", 0.0, PAPER_TABLE3.theta * 2.0, 4),
                 ),
             )
+
+
+# ----------------------------------------------------------------------
+# Grouped certification against the per-point loop it replaced
+# ----------------------------------------------------------------------
+def _certify_loop(spec, coeffs, scale_vec, outcomes, layout, fit_nodes):
+    """The per-point reference: one ``stacked_eval`` per point."""
+    worst = np.zeros(len(MEASURE_NAMES))
+    holdout_points = 0
+    spot_points = 0
+
+    def check(unit_coords, exact_entry):
+        approx = stacked_eval(coeffs, unit_coords)
+        exact = np.array([exact_entry[name] for name in MEASURE_NAMES])
+        return np.abs(approx - exact)
+
+    def unit_of(axis_index, raw):
+        axis = spec.axes[axis_index]
+        return float(2.0 * (raw - axis.lo) / (axis.hi - axis.lo) - 1.0)
+
+    n_phi = len(layout["phi_fit"])
+    for task_index, combo in layout["fit"]:
+        record = outcomes[task_index].record
+        lever_units = tuple(
+            unit_of(i + 1, fit_nodes[i + 1][combo[i]]) for i in range(len(combo))
+        )
+        for phi_i, phi in enumerate(layout["phi_hold"]):
+            entry = record["constituents"][n_phi + phi_i]
+            coords = (unit_of(0, phi),) + lever_units
+            worst = np.maximum(worst, check(coords, entry) / scale_vec)
+            holdout_points += 1
+    for task_index, lever_values in layout["holdout"]:
+        record = outcomes[task_index].record
+        lever_units = tuple(
+            unit_of(i + 1, lever_values[axis.name])
+            for i, axis in enumerate(spec.lever_axes())
+        )
+        for phi_i, phi in enumerate(layout["phi_hold"]):
+            entry = record["constituents"][phi_i]
+            coords = (unit_of(0, phi),) + lever_units
+            worst = np.maximum(worst, check(coords, entry) / scale_vec)
+            holdout_points += 1
+    for task_index, lever_values, phis in layout["spots"]:
+        record = outcomes[task_index].record
+        lever_units = tuple(
+            unit_of(i + 1, lever_values[axis.name])
+            for i, axis in enumerate(spec.lever_axes())
+        )
+        for phi_i, phi in enumerate(phis):
+            entry = record["constituents"][phi_i]
+            coords = (unit_of(0, phi),) + lever_units
+            worst = np.maximum(worst, check(coords, entry) / scale_vec)
+            spot_points += 1
+    return worst, holdout_points, spot_points
+
+
+_CERT_SPECS = {
+    "phi-only": (AxisSpec("phi", 0.0, PAPER_TABLE3.theta, 12),),
+    "one-lever": (
+        AxisSpec("phi", 0.0, PAPER_TABLE3.theta, 16),
+        AxisSpec("coverage", 0.8, 0.995, 4),
+    ),
+    "two-levers": (
+        AxisSpec("phi", 0.0, PAPER_TABLE3.theta, 16),
+        AxisSpec("coverage", 0.8, 0.995, 4),
+        AxisSpec("lam", 900.0, 1500.0, 3),
+    ),
+}
+
+
+class TestGroupedCertification:
+    @pytest.mark.parametrize("name", sorted(_CERT_SPECS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_residuals_equal_the_per_point_loop_bitwise(self, name, seed):
+        spec = SurrogateSpec(params=PAPER_TABLE3, axes=_CERT_SPECS[name])
+        fit_nodes = _axis_raw_nodes(spec, "fit")
+        hold_nodes = _axis_raw_nodes(spec, "holdout")
+        tasks, layout = _plan_tasks(spec, fit_nodes, hold_nodes, 16, 7)
+        rng = np.random.default_rng(seed)
+        outcomes = [
+            SimpleNamespace(record={"constituents": [
+                dict(zip(MEASURE_NAMES, rng.uniform(-2.0, 5e3, 9).tolist()))
+                for _ in task.phis
+            ]})
+            for task in tasks
+        ]
+        values = _values_tensor(spec, outcomes, layout)
+        coeffs = np.stack([tensor_fit(v, spec.degrees) for v in values])
+        scale_vec = rng.uniform(1.0, 1e4, len(MEASURE_NAMES))
+
+        grouped = _certify(spec, coeffs, scale_vec, outcomes, layout, fit_nodes)
+        loop = _certify_loop(spec, coeffs, scale_vec, outcomes, layout, fit_nodes)
+        assert grouped[1:] == loop[1:]
+        assert grouped[0].tobytes() == loop[0].tobytes()
+
+
+class TestFitInputCheck:
+    def test_unreferenced_lever_rejected(self):
+        # At p_ext = 1 no internal message is sent, so no rate
+        # references beta: a beta axis would interpolate a constant.
+        spec = SurrogateSpec(
+            params=PAPER_TABLE3.with_overrides(p_ext=1.0),
+            axes=(
+                AxisSpec("phi", 0.0, PAPER_TABLE3.theta, 4),
+                AxisSpec("beta", 500.0, 700.0, 2),
+            ),
+        )
+        with pytest.raises(ValueError, match="not referenced"):
+            check_fit_inputs(spec, DEFAULT_SAFETY_FACTOR)
+
+    def test_templates_compile_once_per_parameter_set(self, monkeypatch):
+        from repro.surrogate import fitter
+
+        compiles = []
+        real = fitter.compile_parametric
+
+        def counting(*args, **kwargs):
+            compiles.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fitter, "compile_parametric", counting)
+        fitter._referenced_parameters.cache_clear()
+        params = PAPER_TABLE3.with_overrides(alpha=611.0)
+        spec = SurrogateSpec(
+            params=params,
+            axes=(
+                AxisSpec("phi", 0.0, params.theta, 4),
+                AxisSpec("coverage", 0.85, 0.95, 2),
+            ),
+        )
+        check_fit_inputs(spec, DEFAULT_SAFETY_FACTOR)
+        assert len(compiles) == 4
+        check_fit_inputs(spec, DEFAULT_SAFETY_FACTOR)
+        assert len(compiles) == 4
+
+    def test_safety_below_one_rejected(self, small_spec):
+        with pytest.raises(ValueError, match="safety factor"):
+            check_fit_inputs(small_spec, 0.5)

@@ -156,6 +156,57 @@ class TestMoments:
         assert samples.std() == pytest.approx(math.sqrt(variance), rel=0.08)
 
 
+class TestSeedIndependence:
+    """The moments never read numpy's global random state: within the
+    dense limit they come from the deterministic Van Loan exponential,
+    not ``expm_multiply``, whose norm estimator draws from that state."""
+
+    @pytest.fixture
+    def restore_global_state(self):
+        state = np.random.get_state()
+        yield
+        np.random.set_state(state)
+
+    def test_moments_equal_under_different_global_seeds(
+        self, birth_death_chain, restore_global_state, monkeypatch
+    ):
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):  # pragma: no cover - the failure
+            raise AssertionError("expm_multiply called within the dense limit")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+        monkeypatch.setattr(
+            "repro.synth.distribution.expm_multiply", refuse
+        )
+        answers = set()
+        for seed in (0, 1, 7):
+            np.random.seed(seed)
+            answers.add(accumulated_moments(birth_death_chain, [0, 1, 2, 3], 2.0))
+        assert len(answers) == 1
+
+    def test_synthesize_json_equal_under_different_global_seeds(
+        self, capsys, restore_global_state
+    ):
+        from repro.cli import main
+
+        # The synth-smoke model with two levers.  While the non-stiff
+        # moments went through expm_multiply, global seeds 0 and 1
+        # printed different distribution means here.
+        args = [
+            "synthesize", "--theta", "20", "--lam", "60", "--mu-new", "0.2",
+            "--mu-old", "1e-4", "--alpha", "600", "--beta", "600",
+            "--levers", "phi,coverage", "--max-iters", "3", "--starts", "2",
+            "--json",
+        ]
+        outputs = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            assert main(args) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 class TestBetaMixture:
     def test_cdf_is_monotone_and_bounded(self, birth_death_chain):
         rates = [0.0, 1.0, 1.0, 1.0]

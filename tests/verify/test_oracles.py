@@ -12,13 +12,20 @@ models and lumped fleets at stiff horizons, and against a 40-digit
 mpmath reference.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctmc.accumulated import transient_accumulated_grid
-from repro.ctmc.transient import TRANSIENT_METHODS, transient_grid
+from repro.ctmc.transient import (
+    TRANSIENT_METHODS,
+    _squaring_exponent,
+    _taylor_rows,
+    transient_grid,
+)
 from repro.verify.oracles import (
     ACCUMULATED_TOLERANCE,
     STEADY_TOLERANCE,
@@ -191,29 +198,51 @@ class TestMpmathReference:
     """At ``t = 9370`` h on the paper's stiff RMGp and RMGd chains, the
     shared squarings are at least as accurate as per-point Padé against
     a 40-digit reference: accumulated error relative to ``t``, and the
-    L1 error of the distribution."""
+    L1 error of the distribution.  At the non-dyadic ``t = 9370.37`` h
+    the row also carries the Taylor remainder, which must keep that
+    standing, and the remainder alone must be exact to a few ulps."""
 
     T = 9370.0
+    NON_DYADIC_T = 9370.37
 
     @pytest.mark.parametrize("kind", ["RMGp", "RMGd"])
     def test_no_less_accurate_than_pade(self, kind):
+        self._check_against_pade(kind, self.T)
+
+    @pytest.mark.parametrize("kind", ["RMGp", "RMGd"])
+    def test_taylor_remainder_no_less_accurate_than_pade(self, kind):
+        self._check_against_pade(kind, self.NON_DYADIC_T)
+
+    @pytest.mark.parametrize("kind", ["RMGp", "RMGd"])
+    def test_taylor_remainder_alone_within_ulps(self, kind):
+        mp = pytest.importorskip("mpmath")
+        a, state = _augmented(_paper_chain(kind))
+        h = math.ldexp(1.0, -_squaring_exponent(a))
+        rem = math.fmod(self.NON_DYADIC_T, h)
+        assert rem > 0.0
+        row = _taylor_rows(a, h, state, [rem])[0]
+        with mp.workdps(40):
+            exact = mp.matrix([state.tolist()]) * mp.expm(
+                mp.matrix(a.tolist()) * mp.mpf(rem)
+            )
+            error = mp.fsum(
+                abs(mp.mpf(float(row[i])) - exact[0, i]) for i in range(row.size)
+            )
+        assert float(error) <= 4 * 2.0**-53
+
+    def _check_against_pade(self, kind, t):
         mp = pytest.importorskip("mpmath")
         chain = _paper_chain(kind)
         n = chain.num_states
         rewards = np.linspace(0.0, 1.0, n)
-
-        a = np.zeros((n + 1, n + 1))
-        a[:n, :n] = chain.generator.toarray()
-        a[:n, n] = rewards
-        state = np.zeros(n + 1)
-        state[:n] = chain.initial_distribution
+        a, state = _augmented(chain, rewards)
         with mp.workdps(40):
             exact = mp.matrix([state.tolist()]) * mp.expm(
-                mp.matrix(a.tolist()) * mp.mpf(self.T)
+                mp.matrix(a.tolist()) * mp.mpf(t)
             )
 
             def acc_error(value):
-                return float(abs(mp.mpf(float(value)) - exact[0, n])) / self.T
+                return float(abs(mp.mpf(float(value)) - exact[0, n])) / t
 
             def rows_error(row):
                 return float(
@@ -222,14 +251,27 @@ class TestMpmathReference:
                 )
 
             rows, acc = transient_accumulated_grid(
-                chain, rewards, [self.T], method="augmented-expm"
+                chain, rewards, [t], method="augmented-expm"
             )
-            dense = transient_grid(chain, [self.T], method="dense-expm")[0]
+            dense = transient_grid(chain, [t], method="dense-expm")[0]
             ref_rows, ref_acc = pade_transient_accumulated(
-                chain, rewards, [self.T]
+                chain, rewards, [t]
             )
             assert acc_error(acc[0]) <= acc_error(ref_acc[0])
             assert rows_error(rows[0]) <= rows_error(ref_rows[0])
             assert rows_error(dense) <= rows_error(
-                pade_transient_rows(chain, [self.T])[0]
+                pade_transient_rows(chain, [t])[0]
             )
+
+
+def _augmented(chain, rewards=None):
+    """``[[Q, r], [0, 0]]`` and ``[pi(0), 0]``."""
+    n = chain.num_states
+    if rewards is None:
+        rewards = np.linspace(0.0, 1.0, n)
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = chain.generator.toarray()
+    a[:n, n] = rewards
+    state = np.zeros(n + 1)
+    state[:n] = chain.initial_distribution
+    return a, state
